@@ -27,8 +27,6 @@ from __future__ import annotations
 
 import enum
 
-import networkx as nx
-
 from repro.analysis.graph import DependencyGraph
 from repro.core.depfunc import DependencyFunction
 from repro.core.lattice import MAY_DETERMINE
@@ -176,5 +174,7 @@ def components_without_dependencies(function: DependencyFunction) -> int:
     separate components when the learner has enough evidence of their
     parallelism.
     """
+    import networkx as nx  # deferred: costly to import, graph-only
+
     graph = DependencyGraph(function).nx_graph
     return nx.number_weakly_connected_components(graph)

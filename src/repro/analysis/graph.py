@@ -10,18 +10,21 @@ closed) learned relation.
 
 from __future__ import annotations
 
-from typing import Iterable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable
 
 from repro.core.depfunc import DependencyFunction
 from repro.core.lattice import DepValue
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DependencyGraph:
     """Graph view over a dependency function."""
 
     def __init__(self, function: DependencyFunction):
+        import networkx as nx  # deferred: costly to import, graph-only
+
         self.function = function
         self._graph = nx.DiGraph()
         self._graph.add_nodes_from(function.tasks)
@@ -40,6 +43,8 @@ class DependencyGraph:
 
     def certain_graph(self) -> nx.DiGraph:
         """Subgraph of certain (``→``) edges only."""
+        import networkx as nx
+
         certain = nx.DiGraph()
         certain.add_nodes_from(self._graph.nodes)
         certain.add_edges_from(
@@ -51,6 +56,8 @@ class DependencyGraph:
 
     def probable_graph(self) -> nx.DiGraph:
         """Subgraph of probable (``→?``) edges only."""
+        import networkx as nx
+
         probable = nx.DiGraph()
         probable.add_nodes_from(self._graph.nodes)
         probable.add_edges_from(
@@ -69,6 +76,8 @@ class DependencyGraph:
         solid arrows. Falls back to the full edge set if the certain graph
         is cyclic (which would indicate the impossible ``↔`` value).
         """
+        import networkx as nx
+
         certain = self.certain_graph()
         if not nx.is_directed_acyclic_graph(certain):
             return frozenset(certain.edges)

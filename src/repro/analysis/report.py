@@ -12,8 +12,6 @@ import io
 import json
 from typing import Any
 
-import networkx as nx
-
 from repro.analysis.classify import classify_all, depended_on, probable_successors
 from repro.analysis.graph import DependencyGraph
 from repro.core.depfunc import DependencyFunction
@@ -83,6 +81,8 @@ def loads_model(text: str) -> DependencyFunction:
 def to_graphml(function: DependencyFunction) -> str:
     """GraphML rendering of the dependency graph (edge attr: value,
     certain)."""
+    import networkx as nx  # deferred: costly to import, graph-only
+
     graph = nx.DiGraph()
     graph.add_nodes_from(function.tasks)
     for a, b, value in function.nonparallel_pairs():

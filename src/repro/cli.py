@@ -137,7 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--tolerance", type=float, default=0.0)
     learn.add_argument("--kernel", choices=("auto", "loop", "batch"),
                        default="auto",
-                       help="mask-kernel backend: 'loop' is the classic "
+                       help="mask-kernel backend of bounded learning "
+                       "(the exact algorithm has one implementation and "
+                       "ignores it): 'loop' is the classic "
                        "per-hypothesis hot loop, 'batch' the vectorized "
                        "array-of-masks backend (bit-for-bit identical "
                        "output), 'auto' picks batch when numpy is "
@@ -438,6 +440,7 @@ def _cmd_learn(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_worker(args: argparse.Namespace, out: TextIO) -> int:
     from repro.distributed import serve_worker
+    from repro.distributed.worker import sigterm_exits
 
     if args.parallelism < 1:
         raise ReproError(
@@ -449,13 +452,14 @@ def _cmd_worker(args: argparse.Namespace, out: TextIO) -> int:
             out.write(f"worker: {line}\n")
             out.flush()
 
-    return serve_worker(
-        args.coordinator,
-        name=args.name,
-        parallelism=args.parallelism,
-        max_connects=args.max_connects,
-        log=log,
-    )
+    with sigterm_exits():
+        return serve_worker(
+            args.coordinator,
+            name=args.name,
+            parallelism=args.parallelism,
+            max_connects=args.max_connects,
+            log=log,
+        )
 
 
 def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:

@@ -1,10 +1,10 @@
 """Batched numpy array-of-masks backend of the mask kernel.
 
 The loop kernel (:mod:`repro.core.interning` driven by
-:mod:`repro.core.heuristic` / :mod:`repro.core.exact`) processes one
-hypothesis × candidate at a time; this module re-expresses the kernel's
-four per-message operations as bulk bitwise ops over ``uint64`` mask
-columns (multi-word for > 64 pairs):
+:mod:`repro.core.heuristic`) processes one hypothesis × candidate at a
+time; this module re-expresses the bounded learner's per-message
+operations as bulk bitwise ops over ``uint64`` mask columns (multi-word
+for > 64 pairs):
 
 * **candidate-set computation** — the feasibility test ``period_mask &
   bit == 0`` for every (hypothesis, candidate) cell at once;
@@ -14,16 +14,16 @@ columns (multi-word for > 64 pairs):
 * **LUB merges** — union deltas as bulk weight differences
   (:func:`batch_union_deltas`) plus an O(popcount) inline delta in the
   bounded cascade;
-* **superset elimination** — the exact algorithm's redundancy test as
-  block subset comparisons (:func:`batch_remove_redundant_masks`).
+* **superset elimination and working-set counts** for the one exact
+  learner, :class:`~repro.core.exact.ExactLearner`
+  (:func:`batch_remove_redundant_masks`, :func:`batch_cleared_counts`).
 
-Everything stays behind the existing mask boundary: the learners here
-subclass :class:`~repro.core.heuristic.BoundedLearner` /
-:class:`~repro.core.exact.ExactLearner` and only replace hot-loop
-internals, so checkpoints, sharding, ``result()`` and repro-lint's RL003
-containment are untouched. Model identity with the loop kernel (and the
-string reference oracle) is bit-for-bit and asserted by the property
-suite ``tests/property/test_batch_kernel_props.py``.
+Everything stays behind the existing mask boundary: the learner here
+subclasses :class:`~repro.core.heuristic.BoundedLearner` and only
+replaces hot-loop internals, so checkpoints, sharding, ``result()`` and
+repro-lint's RL003 containment are untouched. Model identity with the
+loop kernel (and the string reference oracle) is bit-for-bit and
+asserted by the property suite ``tests/property/test_batch_kernel_props.py``.
 
 Kernel selection goes through the small registry at the top
 (:data:`KERNEL_CHOICES`, :func:`resolve_kernel`): ``"auto"`` picks the
@@ -62,7 +62,6 @@ from typing import Iterable, Sequence
 
 from repro.core import lattice
 from repro.core.candidates import candidate_pairs
-from repro.core.exact import ExactLearner, _remove_redundant_masks
 from repro.core.heuristic import BoundedLearner
 from repro.core.instrumentation import hot_loop
 from repro.core.interning import WeightKernel
@@ -123,6 +122,8 @@ def pack_masks(masks: Sequence[int], words: int):
     Little-endian word order: bit ``i`` of a mask lands in word
     ``i >> 6``, bit position ``i & 63``.
     """
+    if words == 1:
+        return np.fromiter(masks, dtype="<u8", count=len(masks)).reshape(-1, 1)
     nbytes = words * 8
     buffer = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
     return np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words)
@@ -263,32 +264,118 @@ def batch_extension_tables(
     return feasible.tolist(), child_weights.tolist()
 
 
-@hot_loop
-def batch_remove_redundant_masks(masks: Iterable[int]) -> list[int]:
-    """Keep only minimal pair masks under inclusion — block subset tests.
+# ---------------------------------------------------------------------------
+# Exact learner support (superset elimination, working-set counts)
 
-    Same contract and output order as
-    :func:`repro.core.exact._remove_redundant_masks`; the quadratic
-    inner ``kept ⊆ candidate`` scan runs as one vectorized comparison
-    per candidate. Testing against *all* earlier masks (not only kept
-    minimal ones) is equivalent by transitivity of inclusion.
+#: Most uint64 cells one block op of the exact learner's helpers touches
+#: at once (bounds their memory).
+BLOCK_CELLS = 1 << 18
+
+
+#: Set bits of every byte value, for row popcounts of packed masks.
+_BYTE_POPCOUNT = (
+    None if np is None
+    else np.array([value.bit_count() for value in range(256)], dtype=np.uint8)
+)
+
+
+def _mask_words(masks: Iterable[int]) -> int:
+    """uint64 words needed for the widest of *masks* (at least one)."""
+    return max(1, (max(masks, default=0).bit_length() + 63) >> 6)
+
+
+@hot_loop
+def batch_remove_redundant_masks(masks: Iterable[int] | np.ndarray) -> list[int]:
+    """Minimal masks under inclusion, in canonical ``(popcount, mask)`` order.
+
+    Deleting strict supersets is the paper's redundancy elimination.
+    *masks* are ints or a packed ``(n, words)`` array (:func:`pack_masks`).
+    Masks are taken one popcount level at a time: masks of equal popcount
+    cannot strictly contain each other, so a mask is minimal exactly when
+    no minimal mask of a lower level is a subset of it — one vectorized
+    test per level, in blocks of at most :data:`BLOCK_CELLS` cells.
     """
-    unique = set(masks)
-    by_size = sorted(unique, key=lambda mask: mask.bit_count())
-    if np is None or len(by_size) <= 2:
-        return _remove_redundant_masks(by_size)
-    width = max(mask.bit_length() for mask in by_size)
-    words = max(1, (width + 63) >> 6)
-    packed = pack_masks(by_size, words)
+    if np is None:
+        minimal: list[int] = []
+        for candidate in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+            if not any(kept & candidate == kept for kept in minimal):
+                minimal.append(candidate)
+        return minimal
+    if not isinstance(masks, np.ndarray):
+        unique = list(set(masks))
+        masks = pack_masks(unique, _mask_words(unique))
+    words = masks.shape[1]
+    if words == 1:
+        packed = np.sort(masks, axis=0)
+    else:  # the last key, the most significant word, sorts first
+        packed = masks[np.lexsort(masks.T)]
+    fresh = np.ones(len(packed), dtype=bool)
+    fresh[1:] = (packed[1:] != packed[:-1]).any(axis=1)
+    packed = packed[fresh]
+    counts = _BYTE_POPCOUNT[packed.view(np.uint8)].sum(axis=1)
+    order = np.argsort(counts, kind="stable")
+    packed, counts = packed[order], counts[order]
+    bounds = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(packed)]
+    keep = np.zeros(len(packed), dtype=bool)
+    for start, end in zip(bounds, bounds[1:]):
+        lower = packed[:start][keep[:start]]
+        if not len(lower):
+            keep[start:end] = True
+            continue
+        step = max(1, BLOCK_CELLS // (len(lower) * words))
+        for first in range(start, end, step):
+            last = min(first + step, end)
+            block = packed[first:last, None, :]
+            covered = ((block & lower) == lower).all(axis=2).any(axis=1)
+            keep[first:last] = ~covered
+    return unpack_masks(packed[keep])
+
+
+@hot_loop
+def batch_minimal_products(
+    survivors: Sequence[int], assignments: Sequence[int]
+) -> list[int]:
+    """Minimal elements of ``{s | p : s ∈ survivors, p ∈ assignments}``.
+
+    The exact learner's end of period: the product is built as broadcast
+    ORs over packed columns, a block of assignments at a time so memory
+    stays near :data:`BLOCK_CELLS` cells; the minimal elements of a union
+    are the minimal elements of the blocks' minimal elements.
+    """
+    if np is None:
+        return batch_remove_redundant_masks(
+            {mask | p for p in assignments for mask in survivors}
+        )
+    words = max(_mask_words(survivors), _mask_words(assignments))
+    right = pack_masks(survivors, words)[None, :, :]
+    step = max(1, BLOCK_CELLS // max(1, len(survivors) * words))
     minimal: list[int] = []
-    for position, candidate in enumerate(by_size):
-        if position:
-            earlier = packed[:position]
-            row = packed[position]
-            if bool(((earlier & row) == earlier).all(axis=1).any()):
-                continue
-        minimal.append(candidate)
+    for first in range(0, len(assignments), step):
+        left = pack_masks(assignments[first:first + step], words)[:, None, :]
+        minimal += batch_remove_redundant_masks((left | right).reshape(-1, words))
+    if len(assignments) > step:
+        return batch_remove_redundant_masks(minimal)
     return minimal
+
+
+@hot_loop
+def batch_cleared_counts(masks: Sequence[int], keys: Sequence[int]) -> list[int]:
+    """``[len({m & ~key for m in masks}) for key in keys]``.
+
+    One sort per block of keys when every mask fits one word; wider
+    masks take the set comprehension per key.
+    """
+    if np is None or not masks or _mask_words(masks) > 1:
+        return [len({mask & ~key for mask in masks}) for key in keys]
+    column = pack_masks(masks, 1)[:, 0]
+    inverted = ~pack_masks(keys, 1)[:, 0]
+    step = max(1, BLOCK_CELLS // len(masks))
+    counts: list[int] = []
+    for first in range(0, len(keys), step):
+        cleared = np.sort(inverted[first:first + step, None] & column, axis=1)
+        changes = (cleared[:, 1:] != cleared[:, :-1]).sum(axis=1)
+        counts.extend((changes + 1).tolist())
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -760,95 +847,7 @@ class BatchBoundedLearner(BoundedLearner):
 
 
 # ---------------------------------------------------------------------------
-# Batch exact learner
-
-class BatchExactLearner(ExactLearner):
-    """:class:`~repro.core.exact.ExactLearner` on the batch backend.
-
-    Feasibility of every (hypothesis, candidate) cell is one bulk
-    bitwise test over packed period-mask columns, and the end-of-period
-    superset elimination runs as block subset comparisons. Extension
-    itself stays a dict build (the dedup order *is* the algorithm).
-    """
-
-    def __init__(
-        self,
-        tasks: Iterable[str],
-        tolerance: float = 0.0,
-        max_hypotheses: int = 2_000_000,
-    ):
-        if np is None:
-            raise LearningError(
-                "the batch kernel requires numpy, which is not importable; "
-                "use ExactLearner instead"
-            )
-        super().__init__(tasks, tolerance, max_hypotheses)
-
-    @hot_loop
-    def _absorb(
-        self, period: Period, dirty: frozenset[tuple[str, str]], mark: float
-    ) -> Sequence[tuple[int, int]]:
-        counters = self._counters
-        table = self.table
-        pair_count = table.task_count * table.task_count
-        words = max(1, (pair_count + 63) >> 6)
-        current: Sequence[tuple[int, int]] = [
-            (mask, 0) for mask in self._masks
-        ]
-        for message in period.messages:
-            pairs = candidate_pairs(period, message, self.tolerance)
-            counters.observe_candidates(len(pairs))
-            bits = table.bits_of(pairs)
-            index = np.fromiter(
-                (bit.bit_length() - 1 for bit in bits),
-                dtype=np.int64,
-                count=len(bits),
-            )
-            shift = (index & 63).astype(np.uint64)
-            period_masks = pack_masks(
-                [period_mask for _mask, period_mask in current], words
-            )
-            feasible = (
-                ((period_masks[:, index >> 6] >> shift) & 1) == 0
-            ).tolist()
-            counters.batch_messages += 1
-            next_generation: dict[tuple[int, int], None] = {}
-            for (mask, period_mask), row in zip(current, feasible):
-                for bit, ok in zip(bits, row):
-                    if ok:
-                        next_generation[mask | bit, period_mask | bit] = None
-            counters.batch_children += len(next_generation)
-            if not next_generation:
-                raise EmptyHypothesisSpaceError(self._periods, len(pairs))
-            if len(next_generation) > self.max_hypotheses:
-                raise LearningError(
-                    f"exact learner exceeded {self.max_hypotheses} hypotheses "
-                    f"in period {self._periods}; use the bounded heuristic"
-                )
-            current = list(next_generation)
-            self._messages += 1
-            self._peak = max(self._peak, len(current))
-        counters.process_seconds += time.perf_counter() - mark
-        return current
-
-    def _finish_period(
-        self,
-        pending: Sequence[tuple[int, int]],
-        dirty: frozenset[tuple[str, str]],
-    ) -> None:
-        self._masks = batch_remove_redundant_masks(
-            mask for mask, _period_mask in pending
-        )
-        self._decoded = None
-
-    def result(self) -> LearningResult:
-        result = super().result()
-        result.kernel = "batch"
-        return result
-
-
-# ---------------------------------------------------------------------------
-# Convenience drivers (mirror heuristic.learn_bounded / exact.learn_exact)
+# Convenience driver (mirrors heuristic.learn_bounded)
 
 def learn_bounded_batch(
     trace: Trace,
@@ -858,17 +857,6 @@ def learn_bounded_batch(
 ) -> LearningResult:
     """Run the bounded heuristic on the batch kernel over a trace."""
     learner = BatchBoundedLearner(trace.tasks, bound, tolerance, distance)
-    learner.feed_trace(trace)
-    return learner.result()
-
-
-def learn_exact_batch(
-    trace: Trace,
-    tolerance: float = 0.0,
-    max_hypotheses: int = 2_000_000,
-) -> LearningResult:
-    """Run the exact algorithm on the batch kernel over a trace."""
-    learner = BatchExactLearner(trace.tasks, tolerance, max_hypotheses)
     learner.feed_trace(trace)
     return learner.result()
 
@@ -884,8 +872,8 @@ __all__ = [
     "batch_union_deltas",
     "batch_extension_tables",
     "batch_remove_redundant_masks",
+    "batch_minimal_products",
+    "batch_cleared_counts",
     "BatchBoundedLearner",
-    "BatchExactLearner",
     "learn_bounded_batch",
-    "learn_exact_batch",
 ]

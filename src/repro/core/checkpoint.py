@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro.core.batch import BatchBoundedLearner
 from repro.core.exact import ExactLearner
 from repro.core.heuristic import BoundedLearner
 from repro.core.stats import CoExecutionStats
@@ -113,12 +114,13 @@ def checkpoint_from_dict(
 ) -> BoundedLearner | ExactLearner:
     """Rebuild a learner from its checkpoint dictionary.
 
-    *kernel* selects the mask-kernel backend of the resumed learner
-    (``"loop"`` or ``"batch"`` — resolve ``"auto"`` with
-    :func:`repro.core.batch.resolve_kernel` first). The checkpoint
-    format itself is kernel-agnostic: both backends save and restore
-    byte-identical JSON, so a run may checkpoint under one kernel and
-    resume under the other.
+    *kernel* selects the mask-kernel backend of a resumed bounded
+    learner (``"loop"`` or ``"batch"`` — resolve ``"auto"`` with
+    :func:`repro.core.batch.resolve_kernel` first); an exact checkpoint
+    always resumes as :class:`~repro.core.exact.ExactLearner`. The
+    checkpoint format itself is kernel-agnostic: both backends save and
+    restore byte-identical JSON, so a run may checkpoint under one
+    kernel and resume under the other.
     """
     if data.get("format") != FORMAT_NAME:
         raise LearningError(
@@ -130,12 +132,7 @@ def checkpoint_from_dict(
         )
     stats = _stats_from_dict(data["stats"])
     kind = data.get("kind")
-    if kernel == "batch":
-        from repro.core.batch import BatchBoundedLearner, BatchExactLearner
-
-        bounded_cls, exact_cls = BatchBoundedLearner, BatchExactLearner
-    else:
-        bounded_cls, exact_cls = BoundedLearner, ExactLearner
+    bounded_cls = BatchBoundedLearner if kernel == "batch" else BoundedLearner
     learner: BoundedLearner | ExactLearner
     if kind == "bounded":
         learner = bounded_cls(
@@ -143,7 +140,7 @@ def checkpoint_from_dict(
         )
         learner._merges = int(data.get("merges", 0))
     elif kind == "exact":
-        learner = exact_cls(
+        learner = ExactLearner(
             stats.tasks,
             float(data["tolerance"]),
             int(data.get("max_hypotheses", 2_000_000)),
@@ -160,6 +157,8 @@ def checkpoint_from_dict(
         mask_of(tuple(pair) for pair in pairs)
         for pairs in data["hypotheses"]
     ]
+    if kind == "exact":  # older checkpoints kept set-iteration order
+        learner._masks.sort(key=lambda mask: (mask.bit_count(), mask))
     learner._decoded = None
     learner._periods = int(data["periods"])
     learner._messages = int(data["messages"])

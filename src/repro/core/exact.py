@@ -13,12 +13,12 @@ The hypothesis set grows exponentially in the number of messages in the
 worst case; Theorem 1 shows the underlying problem is NP-hard, so this is
 unavoidable for an exact most-specific-set algorithm.
 
-The working set lives on the interned bitmask kernel
-(:mod:`repro.core.interning`): a hypothesis in flight is a ``(mask,
-period_mask)`` int pair, extension is a bitwise OR, dedup keys are the int
-pairs themselves, and the paper's redundancy elimination is a mask subset
-test — which matters doubly here because the exponential set makes every
-per-hypothesis constant factor hurt.
+The working set is never built. Every hypothesis in flight is a survivor
+``s`` plus the period's assignment mask ``p``, and feasibility reads only
+``p``, so the set is the product ``{(s | p, p)}`` of the survivors and
+the period's reachable assignments, which are enumerated once per period.
+Its size, the paper's peak, is counted only when it could move the peak
+or trip the cap (``docs/algorithm.md`` §4).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import time
 from typing import Iterable, Sequence
 
 from repro.core.base import MaskedLearner
+from repro.core.batch import batch_cleared_counts, batch_minimal_products
 from repro.core.instrumentation import hot_loop
 from repro.core.candidates import candidate_pairs
 from repro.core.result import LearningResult
@@ -36,22 +37,25 @@ from repro.trace.trace import Trace
 
 
 @hot_loop
-def _remove_redundant_masks(masks: Iterable[int]) -> list[int]:
-    """Keep only minimal pair masks under inclusion.
+def _working_set_size(survivors: Sequence[int], reachable: Sequence[int]) -> int:
+    """``|G_j| = Σ_{p∈P_j} |{s & ~p : s ∈ S}|``.
 
-    With shared statistics, pair-set inclusion coincides with the pointwise
-    dependency-function order, so deleting strict supersets is exactly the
-    paper's redundancy elimination. On masks, ``kept ⊂ candidate`` is the
-    subset test ``kept & candidate == kept`` (strictness is free: the
-    inputs are deduplicated first).
+    Only the bits of ``p`` that some but not every survivor holds change
+    the count: bits no survivor holds are cleared anyway, and clearing a
+    bit every survivor holds is injective. So assignments are grouped by
+    ``p & varying`` and each group is counted once.
     """
-    unique = set(masks)
-    by_size = sorted(unique, key=lambda mask: mask.bit_count())
-    minimal: list[int] = []
-    for candidate in by_size:
-        if not any(kept & candidate == kept for kept in minimal):
-            minimal.append(candidate)
-    return minimal
+    union, common = 0, ~0
+    for mask in survivors:
+        union |= mask
+        common &= mask
+    varying = union & ~common
+    groups: dict[int, int] = {}
+    for period_mask in reachable:
+        key = period_mask & varying
+        groups[key] = groups.get(key, 0) + 1
+    counts = batch_cleared_counts(survivors, list(groups))
+    return sum(times * count for times, count in zip(groups.values(), counts))
 
 
 class ExactLearner(MaskedLearner):
@@ -59,7 +63,8 @@ class ExactLearner(MaskedLearner):
 
     Feed periods one at a time with :meth:`feed` (all-or-nothing, see
     :class:`~repro.core.base.IncrementalLearner`); read the current
-    most-specific set at any point with :meth:`result`.
+    most-specific set at any point with :meth:`result`. Survivors are
+    kept in canonical ``(popcount, mask)`` order.
 
     Parameters
     ----------
@@ -95,38 +100,42 @@ class ExactLearner(MaskedLearner):
     @hot_loop
     def _absorb(
         self, period: Period, dirty: frozenset[tuple[str, str]], mark: float
-    ) -> Sequence[tuple[int, int]]:
+    ) -> Sequence[int]:
         counters = self._counters
         table = self.table
-        current: Sequence[tuple[int, int]] = [(mask, 0) for mask in self._masks]
+        survivors = self._masks
+        limit = self.max_hypotheses
+        reachable: Sequence[int] = (0,)
         for message in period.messages:
             pairs = candidate_pairs(period, message, self.tolerance)
             counters.observe_candidates(len(pairs))
             bits = table.bits_of(pairs)
-            next_generation: dict[tuple[int, int], None] = {}
-            for mask, period_mask in current:
-                for bit in bits:
-                    if period_mask & bit:
-                        continue
-                    next_generation[mask | bit, period_mask | bit] = None
-            if not next_generation:
+            reachable = list(
+                {p | bit: None for p in reachable for bit in bits if not p & bit}
+            )
+            if not reachable or not survivors:
                 raise EmptyHypothesisSpaceError(self._periods, len(pairs))
-            if len(next_generation) > self.max_hypotheses:
-                raise LearningError(
-                    f"exact learner exceeded {self.max_hypotheses} hypotheses "
-                    f"in period {self._periods}; use the bounded heuristic"
-                )
-            current = list(next_generation)
+            # |P_j| <= |G_j| <= |S|·|P_j|: count only if the peak can move.
+            ceiling = len(survivors) * len(reachable)
+            if ceiling > self._peak or ceiling > limit:
+                size = len(reachable)
+                if size <= limit:
+                    size = _working_set_size(survivors, reachable)
+                if size > limit:
+                    raise LearningError(
+                        f"exact learner exceeded {limit} hypotheses "
+                        f"in period {self._periods}; use the bounded heuristic"
+                    )
+                self._peak = max(self._peak, size)
             self._messages += 1
-            self._peak = max(self._peak, len(current))
         counters.process_seconds += time.perf_counter() - mark
-        return current
+        return reachable
 
     def _finish_period(
-        self, pending: Sequence[tuple[int, int]], dirty: frozenset[tuple[str, str]]
+        self, pending: Sequence[int], dirty: frozenset[tuple[str, str]]
     ) -> None:
-        # Drop assumptions, unify, remove redundant.
-        self._masks = _remove_redundant_masks(mask for mask, _pmask in pending)
+        # Drop the assumptions, unify, remove the redundant.
+        self._masks = batch_minimal_products(self._masks, pending)
         self._decoded = None
 
     # ------------------------------------------------------------------

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from repro.core.batch import (
     BatchBoundedLearner,
-    BatchExactLearner,
     learn_bounded_batch,
-    learn_exact_batch,
     resolve_kernel,
 )
 from repro.core.exact import ExactLearner, learn_exact
@@ -67,11 +65,13 @@ def learn_dependencies(
         uses :class:`~repro.core.shardexec.ShardPolicy`'s defaults.
         Ignored when ``workers=1``.
     kernel:
-        Mask-kernel backend: ``"loop"`` (per-hypothesis hot loop),
-        ``"batch"`` (vectorized array-of-masks backend,
-        :mod:`repro.core.batch`), or ``"auto"`` (the default — batch
-        when numpy is importable). The backends learn bit-for-bit
-        identical models; the choice is purely a throughput knob.
+        Mask-kernel backend of the bounded heuristic: ``"loop"``
+        (per-hypothesis hot loop), ``"batch"`` (vectorized
+        array-of-masks backend, :mod:`repro.core.batch`), or ``"auto"``
+        (the default — batch when numpy is importable). The backends
+        learn bit-for-bit identical models; the choice is purely a
+        throughput knob. Exact learning (``bound=None``) always runs
+        :class:`~repro.core.exact.ExactLearner`.
     executor_factory:
         Execution substrate for the sharded path (``workers > 1``):
         ``None`` uses local process pools; a
@@ -87,8 +87,6 @@ def learn_dependencies(
     require_shardable(bound, workers)
     resolved = resolve_kernel(kernel)
     if bound is None:
-        if resolved == "batch":
-            return learn_exact_batch(trace, tolerance, max_hypotheses)
         return learn_exact(trace, tolerance, max_hypotheses)
     if workers > 1:
         return learn_bounded_sharded(
@@ -109,8 +107,6 @@ def make_learner(
     """An incremental learner for online use (feed periods as they arrive)."""
     resolved = resolve_kernel(kernel)
     if bound is None:
-        if resolved == "batch":
-            return BatchExactLearner(tasks, tolerance)
         return ExactLearner(tasks, tolerance)
     if resolved == "batch":
         return BatchBoundedLearner(tasks, bound, tolerance)
@@ -123,11 +119,9 @@ __all__ = [
     "LearningResult",
     "ExactLearner",
     "BoundedLearner",
-    "BatchExactLearner",
     "BatchBoundedLearner",
     "learn_exact",
     "learn_bounded",
-    "learn_exact_batch",
     "learn_bounded_batch",
     "learn_bounded_sharded",
     "resolve_kernel",

@@ -27,11 +27,15 @@ into the task frame.
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
+import signal
 import socket
 import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from typing import Iterator
 
 from repro.core.shardexec import ProcessExecutorFactory
 from repro.distributed.chaos import network_faults
@@ -251,6 +255,41 @@ def _serve_connection(
         session.factory.teardown(session.pool)
 
 
+@contextlib.contextmanager
+def sigterm_exits() -> Iterator[None]:
+    """Within the block, SIGTERM reaps the pool's children, then exits.
+
+    The default action kills the daemon on the spot, so the children of
+    its local process pool outlive it as orphans. Raising
+    :class:`SystemExit` from the handler is no cure: a handler that runs
+    inside a finalizer has its exception swallowed, and the daemon lives
+    on. So the handler terminates and joins the children itself and
+    exits with ``128 + signum``, skipping the interpreter's exit hooks,
+    which would wait on the pool's threads. Pool children forked inside
+    the block inherit the handler; in them it falls back to the default
+    action. Enter from the main thread.
+    """
+    owner = os.getpid()
+
+    def handler(signum, frame):
+        if os.getpid() != owner:
+            signal.signal(signum, signal.SIG_DFL)
+            os.kill(os.getpid(), signum)
+            return
+        children = multiprocessing.active_children()
+        for child in children:
+            child.terminate()
+        for child in children:
+            child.join(timeout=5.0)
+        os._exit(128 + signum)
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def serve_worker(
     address: str,
     *,
@@ -307,4 +346,4 @@ def serve_worker(
         close_all_stores()
 
 
-__all__ = ["RECONNECT_DELAY", "serve_worker"]
+__all__ = ["RECONNECT_DELAY", "serve_worker", "sigterm_exits"]

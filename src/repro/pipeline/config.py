@@ -63,11 +63,12 @@ class PipelineConfig:
     max_hypotheses:
         Safety cap for the exact algorithm.
     kernel:
-        Mask-kernel backend for the learn stage: ``"loop"``, ``"batch"``,
-        or ``"auto"`` (the default — batch when numpy is importable; see
-        :func:`repro.core.batch.resolve_kernel`). The backends learn
-        bit-for-bit identical models. The CLI's ``--kernel`` flag maps
-        onto this field.
+        Mask-kernel backend of bounded learning: ``"loop"``,
+        ``"batch"``, or ``"auto"`` (the default — batch when numpy is
+        importable; see :func:`repro.core.batch.resolve_kernel`). The
+        backends learn bit-for-bit identical models; exact learning has
+        one implementation. The CLI's ``--kernel`` flag maps onto this
+        field.
     analyze_modes / analyze_curve:
         Run the analysis stage's mode extraction / learning-curve parts.
     curve_bound:

@@ -360,6 +360,17 @@ class ServiceServer:
             )
             return False
         if kind == "evict":
+            if not session.queue.empty():
+                # An op was queued behind the evict: the session is no
+                # longer idle, and returning here would strand that op.
+                await self._reply(
+                    responder,
+                    ops.error_reply(
+                        session.session_id,
+                        "evict skipped: the session has queued ops",
+                    ),
+                )
+                return False
             path = manager.evict(session)
             self.log(f"evicted session {session.session_id} to {path}")
             await self._reply(

@@ -3,7 +3,9 @@
 The vectorized array-of-masks backend must be *bit-for-bit* the loop
 kernel on every trace — not statistically close, identical. Random
 small systems are generated, simulated, and learned three ways (loop,
-batch, reference oracle); every observable of the run must agree:
+batch, reference oracle); every observable of the run must agree
+(exact learning has a single implementation, checked against the
+reference under every kernel name):
 
 * the surviving hypothesis list, in order (order encodes the merge
   history, so equality here pins the whole exploration sequence);
@@ -23,10 +25,9 @@ from hypothesis import strategies as st
 from repro.analysis.graph import DependencyGraph
 from repro.core.batch import batch_available, resolve_kernel
 from repro.core.checkpoint import checkpoint_from_dict, checkpoint_to_dict
-from repro.core.exact import learn_exact
 from repro.core.heuristic import learn_bounded
 from repro.core.learner import learn_dependencies, make_learner
-from repro.core.reference import learn_bounded_reference
+from repro.core.reference import learn_bounded_reference, learn_exact_reference
 from repro.core.sharded import learn_bounded_sharded
 from repro.errors import LearningError
 from repro.sim.simulator import Simulator, SimulatorConfig
@@ -96,18 +97,24 @@ def test_batch_equals_reference_bounded(seed, bound):
 
 @settings(max_examples=15, deadline=None)
 @given(st.integers(0, 500))
-def test_batch_exact_equals_loop_exact(seed):
+def test_every_kernel_name_runs_the_reference_exact(seed):
+    """Exact learning has one implementation: every kernel name runs
+    it, and it equals the string reference."""
     trace = small_trace(seed, periods=3)
     try:
-        loop = learn_exact(trace, max_hypotheses=50_000)
+        reference = learn_exact_reference(trace, max_hypotheses=50_000)
     except LearningError:
-        with pytest.raises(LearningError):
-            learn_dependencies(
-                trace, max_hypotheses=50_000, kernel="batch"
-            )
+        for kernel in ("loop", "batch", "auto"):
+            with pytest.raises(LearningError):
+                learn_dependencies(
+                    trace, max_hypotheses=50_000, kernel=kernel
+                )
         return
-    batch = learn_dependencies(trace, max_hypotheses=50_000, kernel="batch")
-    assert_results_identical(loop, batch)
+    for kernel in ("loop", "batch", "auto"):
+        result = learn_dependencies(
+            trace, max_hypotheses=50_000, kernel=kernel
+        )
+        assert_results_identical(reference, result)
 
 
 @settings(max_examples=10, deadline=None)

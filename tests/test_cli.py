@@ -98,6 +98,32 @@ class TestLearn:
         assert code == 0
         assert "exact" in output
 
+    def test_model_json_learn_never_imports_networkx(self, trace_file, tmp_path):
+        """networkx is costly to import and only graph output needs it."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            "import sys; from repro.cli import main; "
+            "code = main(sys.argv[1:]); "
+            "assert code == 0, code; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'"
+        )
+        model = str(tmp_path / "m.json")
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", probe, "learn", trace_file,
+             "--quiet", "--model-json", model],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.load(open(model, encoding="utf-8"))["format"] == (
+            "repro-dependency-model"
+        )
+
 
 class TestMonitor:
     def test_clean_stream(self, trace_file, tmp_path):

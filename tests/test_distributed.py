@@ -450,6 +450,40 @@ class TestEndToEnd:
         assert getattr(counters, counter) >= 1, counters.as_dict()
 
 
+def _alive(pid: int) -> bool:
+    """True while *pid* runs (a zombie counts as gone)."""
+    try:
+        with open(f"/proc/{pid}/stat", "r", encoding="ascii") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+class TestWorkerShutdown:
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigterm_reaps_pool_children(self):
+        """A terminated ``repro worker --parallelism 2`` takes its
+        process-pool children down with it instead of orphaning them."""
+        ex = TcpShardExecutor("127.0.0.1", 0)
+        proc = _spawn_worker(ex.address, parallelism=2)
+        try:
+            ex.wait_for_workers(1, timeout=30.0)
+            futures = [ex.submit(os.getpid) for _ in range(4)]
+            children = {future.result(timeout=30.0) for future in futures}
+            assert children and proc.pid not in children
+            proc.terminate()
+            proc.wait(timeout=30.0)
+            deadline = time.monotonic() + 10.0
+            while any(map(_alive, children)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in children if _alive(pid)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10.0)
+            ex.close()
+
+
 # -- store fingerprint refusal ---------------------------------------------
 
 

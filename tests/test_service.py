@@ -320,6 +320,58 @@ class TestEvictionPressure:
         finally:
             thread.stop()
 
+    def test_op_queued_behind_pressure_evict_is_answered(self, tmp_path):
+        """Pressure queues an evict for an idle victim; an append that
+        lands behind it on the victim's queue must still be acked."""
+        import asyncio
+        from concurrent.futures import ThreadPoolExecutor
+
+        from repro.service import ops as service_ops
+        from repro.service.eviction import SessionManager
+        from repro.service.server import ServiceServer
+
+        class Replies:
+            def __init__(self):
+                self.frames = []
+
+            async def send(self, payload):
+                self.frames.append(payload)
+                return True
+
+        trace = canonical_trace()
+
+        async def scenario():
+            server = ServiceServer(SessionPolicy(max_live=1))
+            server.manager = SessionManager(server.policy, str(tmp_path))
+            server._pool = ThreadPoolExecutor(max_workers=1)
+            replies = Replies()
+            try:
+                for name in ("victim", "other"):
+                    await server._dispatch(
+                        service_ops.open_op(name, trace.tasks, bound=BOUND),
+                        replies,
+                    )
+                victim = server.manager.live["victim"]
+                # Opening "other" pushed the live count over the bound.
+                assert victim.queue.qsize() == 1
+                await server._dispatch(
+                    service_ops.append_op("victim", 1, trace.periods[:2]),
+                    replies,
+                )
+                assert victim.queue.qsize() == 2
+                await asyncio.wait_for(victim.queue.join(), timeout=10.0)
+                return replies.frames, victim.learner._periods
+            finally:
+                for session in list(server.manager.live.values()):
+                    if session.worker is not None:
+                        session.worker.cancel()
+                server._pool.shutdown(wait=True)
+
+        frames, periods = asyncio.run(scenario())
+        acks = [f for f in frames if f["kind"] == "ack"]
+        assert [(a["session"], a["seq"]) for a in acks] == [("victim", 1)]
+        assert periods == 2
+
     def test_explicit_evict_then_any_op_resumes(self, client):
         trace = canonical_trace()
         client.open_session("s", trace_tasks(trace), bound=BOUND)
