@@ -140,8 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="mask-kernel backend of bounded learning "
                        "(the exact algorithm has one implementation and "
                        "ignores it): 'loop' is the classic "
-                       "per-hypothesis hot loop, 'batch' the vectorized "
-                       "array-of-masks backend (bit-for-bit identical "
+                       "per-hypothesis hot loop, 'batch' the interned-mask "
+                       "kernel (bit-for-bit identical "
                        "output), 'auto' picks batch when numpy is "
                        "available (default)")
     learn.add_argument("--workers", type=int, default=1,

@@ -1,40 +1,40 @@
-"""Batched numpy array-of-masks backend of the mask kernel.
+"""Batched backend of the mask kernel: bulk mask ops and a faster
+bounded learner.
 
 The loop kernel (:mod:`repro.core.interning` driven by
 :mod:`repro.core.heuristic`) processes one hypothesis × candidate at a
-time; this module re-expresses the bounded learner's per-message
-operations as bulk bitwise ops over ``uint64`` mask columns (multi-word
-for > 64 pairs):
+time. This module holds two alternatives to it.
 
-* **candidate-set computation** — the feasibility test ``period_mask &
-  bit == 0`` for every (hypothesis, candidate) cell at once;
-* **Definition 8 weight refresh** — extension deltas and from-scratch
-  set weights from the term tables, vectorized over whole pools
-  (:func:`batch_set_weights`, :func:`batch_extension_tables`);
-* **LUB merges** — union deltas as bulk weight differences
-  (:func:`batch_union_deltas`) plus an O(popcount) inline delta in the
-  bounded cascade;
+**Bulk ops** re-express per-cell kernel operations as bitwise ops over
+numpy ``uint64`` mask columns (multi-word for > 64 pairs):
+
+* **candidate feasibility and child weights** for every (hypothesis,
+  candidate) cell at once (:func:`batch_extension_tables`);
+* **Definition 8 weights and LUB-merge deltas** of whole pools
+  (:func:`batch_set_weights`, :func:`batch_union_deltas`);
 * **superset elimination and working-set counts** for the one exact
   learner, :class:`~repro.core.exact.ExactLearner`
-  (:func:`batch_remove_redundant_masks`, :func:`batch_cleared_counts`).
+  (:func:`batch_remove_redundant_masks`, :func:`batch_minimal_products`,
+  :func:`batch_cleared_counts`).
 
-Everything stays behind the existing mask boundary: the learner here
-subclasses :class:`~repro.core.heuristic.BoundedLearner` and only
-replaces hot-loop internals, so checkpoints, sharding, ``result()`` and
-repro-lint's RL003 containment are untouched. Model identity with the
-loop kernel (and the string reference oracle) is bit-for-bit and
-asserted by the property suite ``tests/property/test_batch_kernel_props.py``.
+**:class:`BatchBoundedLearner`** subclasses
+:class:`~repro.core.heuristic.BoundedLearner` and replaces only the
+period's message loop, so checkpoints, sharding, ``result()`` and
+repro-lint's RL003 containment are untouched. It makes no numpy call:
+a message's pool is small and repetitive, and plain ints serve it best.
+Model identity with the loop kernel (and the string reference oracle) is
+bit-for-bit and asserted by the property suite
+``tests/property/test_batch_kernel_props.py``.
 
 Kernel selection goes through the small registry at the top
 (:data:`KERNEL_CHOICES`, :func:`resolve_kernel`): ``"auto"`` picks the
 batch backend exactly when numpy is importable, so environments without
 numpy silently keep the loop kernel.
 
-Implementation notes for the bounded cascade
+Implementation notes for the bounded learner
 --------------------------------------------
 
-The bounded learner's per-message step keeps three exact equivalences
-that make the fast path bit-identical to the loop kernel:
+The message step keeps these exact equivalences with the loop kernel:
 
 * **Compact pair interning.** Real traces touch a small fraction of the
   ``t^2`` pair bits (the gm workload: ~130 of 324). Candidate bits are
@@ -42,26 +42,35 @@ that make the fast path bit-identical to the loop kernel:
   so in-flight masks fit one or two machine words. Iteration stays in
   *canonical* bit order (ascending pair index), so exploration order —
   and therefore dedup and merge order — is unchanged.
-* **Combined single-int keys.** An in-flight hypothesis is one int:
-  ``(mask << S) | period_mask`` over compact bits, so extension and the
-  LUB merge are each a single ``|``.
-* **Eager sorted-list pool.** The loop kernel's heap never holds a stale
-  entry: inserts push exactly when a key is new and every removal pops
-  the matching entry, so the heap multiset always equals the pool key
-  set. An eagerly maintained sorted list (lightest at the end, priority
-  ``-(weight << SEQ_BITS) - seq``) is therefore observably identical,
-  and makes pop O(1). Weights are pure functions of the mask under fixed
-  statistics, which licenses the overwrite-dedup ``pool[key] = weight``.
+* **Interned masks.** Under fixed statistics a weight is a pure function
+  of the pair mask, and with integer distances no sum rounds. So each
+  distinct mask of a period is kept once (``masks[i]``) with one weight,
+  and a pool key is one int, ``(i << field) | period_mask``. A child by
+  bit ``b`` is feasible iff ``period_mask & b == 0``; its mask
+  ``masks[i] | b`` is interned once per ``(i, candidate)`` and the child
+  key is ``key`` plus a per-``(i, candidate)`` constant. Merging two
+  keys of one mask is ``k1 | k2`` at the same weight; merging two masks
+  interns their union, and its O(popcount) weight delta runs only when
+  the union is new. On the GM trace the pool after a message holds a
+  single distinct mask almost every time.
+* **Per-weight FIFO pool.** The loop kernel pops its heap in ``(weight,
+  sequence)`` order, where sequence numbers only grow and entries leave
+  only from the lightest end. One FIFO queue per weight plus the sorted
+  list of live weights pops exactly that order.
+* **Period end.** :meth:`~repro.core.heuristic.BoundedLearner._finish_period`
+  keeps one weight per pair mask and drops period masks, so each
+  distinct mask is decoded back to canonical bits once and period masks
+  are never decoded.
 """
 
 from __future__ import annotations
 
-import time
+import numbers
 from bisect import insort
+from collections import deque
 from typing import Iterable, Sequence
 
 from repro.core import lattice
-from repro.core.candidates import candidate_pairs
 from repro.core.heuristic import BoundedLearner
 from repro.core.instrumentation import hot_loop
 from repro.core.interning import WeightKernel
@@ -82,9 +91,6 @@ except ImportError:  # pragma: no cover
 
 #: Accepted kernel names: ``auto`` resolves per numpy availability.
 KERNEL_CHOICES = ("auto", "loop", "batch")
-
-#: Bits reserved for the insertion sequence in packed pool priorities.
-SEQ_BITS = 32
 
 
 def batch_available() -> bool:
@@ -385,11 +391,10 @@ class BatchBoundedLearner(BoundedLearner):
     """:class:`~repro.core.heuristic.BoundedLearner` on the batch backend.
 
     Same parameters, same results — bit for bit — different hot loop:
-    per message, child generation (feasibility + extension deltas for
-    every pool × candidate cell) is one set of numpy column ops, and the
-    merge cascade runs over combined single-int compact keys with an
-    eager sorted-list pool and an O(popcount) inline union delta. See
-    the module docstring for why each transformation is identity-safe.
+    per message, the pool's few distinct pair masks are interned once
+    with one weight each, a child is one integer add on a combined key,
+    and the bound cascade pops from per-weight FIFO queues. See the
+    module docstring for why each transformation is identity-safe.
     """
 
     def __init__(
@@ -400,53 +405,37 @@ class BatchBoundedLearner(BoundedLearner):
         distance: DistanceFunction = lattice.distance,
         incremental_weights: bool = True,
     ):
-        if np is None:
-            raise LearningError(
-                "the batch kernel requires numpy, which is not importable; "
-                "use BoundedLearner instead"
-            )
         super().__init__(tasks, bound, tolerance, distance, incremental_weights)
         #: canonical bit value -> compact index (first-seen, append-only)
         self._compact_of: dict[int, int] = {}
-        #: compact index -> canonical bit value / canonical pair index
+        #: compact index -> canonical bit value
         self._canonical_bit: list[int] = []
-        self._canonical_index: list[int] = []
-        self._words = 1        # uint64 words per field
-        self._field = 64       # compact field width == mask shift
-        self._generation_cache: dict[tuple[int, ...], tuple] = {}
-        self._term_epoch: object = None
+        #: compact index -> compact index of its mirror pair (the table
+        #: size when the mirror is not interned)
+        self._mirror_compact: list[int] = []
+        self._field = 64  # period-mask field width of a pool key
+        self._checked_kernel: WeightKernel | None = None
+        #: The period's interned compact pair masks, their Definition 8
+        #: weights, and mask -> index (reset at every period start).
+        self._pool_masks: list[int] = []
+        self._pool_weights: list[int] = []
+        self._pool_index: dict[int, int] = {}
 
     # -- compact pair interning ----------------------------------------
 
     @hot_loop
-    def _intern_bits(self, bits: Sequence[int]) -> bool:
-        """Extend the compact table; True when the word layout grew."""
+    def _intern_bits(self, bits: Iterable[int]) -> bool:
+        """Extend the compact table; True when the key field grew."""
         compact_of = self._compact_of
         for bit in bits:
             if bit not in compact_of:
                 compact_of[bit] = len(self._canonical_bit)
                 self._canonical_bit.append(bit)
-                self._canonical_index.append(bit.bit_length() - 1)
-        need = max(1, (len(self._canonical_bit) + 63) >> 6)
-        if need != self._words:
-            self._words = need
-            self._field = 64 * need
+        field = 64 * max(1, (len(self._canonical_bit) + 63) >> 6)
+        if field != self._field:
+            self._field = field
             return True
         return False
-
-    @hot_loop
-    def _intern_mask_bits(self, mask: int) -> None:
-        """Intern every set bit of a canonical mask (checkpoint restores
-        and shard merges carry masks whose bits never went through a
-        candidate set)."""
-        compact_of = self._compact_of
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            if low not in compact_of:
-                compact_of[low] = len(self._canonical_bit)
-                self._canonical_bit.append(low)
-                self._canonical_index.append(low.bit_length() - 1)
 
     @hot_loop
     def _encode_mask(self, mask: int) -> int:
@@ -470,375 +459,266 @@ class BatchBoundedLearner(BoundedLearner):
             out |= canonical[low.bit_length() - 1]
         return out
 
-    # -- term tables in compact space ----------------------------------
+    # -- mirror slots in compact space ---------------------------------
 
     @hot_loop
-    def _refresh_terms(self) -> None:
-        """Rebuild compact-indexed branch tables for the inline merge delta.
+    def _refresh_mirrors(self) -> None:
+        """Rebuild the compact index of every compact bit's mirror pair.
 
-        Terms change only on a kernel rebuild (new object) or a flip
-        (always paired with a statistics version bump, which is strictly
-        monotone — so ``(id, version)`` cannot collide); the epoch also
-        carries the compact layout, because interning a pair whose
-        mirror arrives later changes that pair's mirror slot.
+        Interning a pair whose mirror arrives later changes that pair's
+        mirror slot, so the table follows the compact table's size.
         """
-        kernel = self._kernel
-        epoch = (
-            id(kernel),
-            self.stats.version,
-            self._field,
-            len(self._canonical_bit),
-        )
-        if self._term_epoch == epoch:
+        size = len(self._canonical_bit)
+        if len(self._mirror_compact) == size:
             return
-        self._term_epoch = epoch
-        term_f = kernel._term_f
-        term_b = kernel._term_b
-        term_fb = kernel._term_fb
         mirror = self.table.mirror_index
         compact_of = self._compact_of
+        self._mirror_compact = [
+            compact_of.get(1 << mirror[bit.bit_length() - 1], size)
+            for bit in self._canonical_bit
+        ]
+
+    # -- the period's pool: interned masks, combined keys --------------
+
+    @hot_loop
+    def _open_pool(
+        self, entries: list[tuple[int, int, int]], bits: tuple[int, ...]
+    ) -> list[int]:
+        """Intern the carried masks and the first message's *bits*; the
+        carried keys start with no period bits.
+
+        The carried masks may hold bits that never crossed a candidate
+        set (checkpoint restore, shard merge), so those are interned too.
+        """
+        carried = 0
+        for mask, _period_mask, _weight in entries:
+            carried |= mask
+        fresh = list(bits)
+        while carried:
+            low = carried & -carried
+            carried ^= low
+            fresh.append(low)
+        self._intern_bits(fresh)
+        self._pool_masks = masks = []
+        self._pool_weights = weights = []
+        self._pool_index = index_of = {}
         field = self._field
-        # Inline merge-delta branches for one newly-acquired compact bit i
-        # with mirror mi: both new -> fb[i]; mirror already in the base ->
-        # both ordered terms step to mutual; mirror absent -> two singles.
-        branch_both = []
-        branch_mutual = []
-        branch_single = []
-        mirror_compact = []  # compact mirror index; `field` == never set
-        for canonical_index in self._canonical_index:
-            mirror_index = mirror[canonical_index]
-            branch_both.append(term_fb[canonical_index])
-            branch_mutual.append(
-                term_fb[canonical_index]
-                - term_b[canonical_index]
-                + term_fb[mirror_index]
-                - term_f[mirror_index]
-            )
-            branch_single.append(term_f[canonical_index] + term_b[mirror_index])
-            compact_mirror = compact_of.get(1 << mirror_index)
-            mirror_compact.append(
-                field if compact_mirror is None else compact_mirror
-            )
-        self._branch_both = branch_both
-        self._branch_mutual = branch_mutual
-        self._branch_single = branch_single
-        self._mirror_compact = mirror_compact
-        term_f_np = np.asarray(term_f)
-        if term_f_np.dtype.kind != "i":
-            raise LearningError(
-                "the batch kernel requires an integer-valued distance function"
-            )
-        self._term_f_np = term_f_np.astype(np.int64)
-        self._term_b_np = np.asarray(term_b, dtype=np.int64)
-        self._term_fb_np = np.asarray(term_fb, dtype=np.int64)
-        self._generation_cache.clear()
+        keys = []
+        for mask, _period_mask, weight in entries:
+            compact = self._encode_mask(mask)
+            index = index_of.get(compact)
+            if index is None:
+                index = index_of[compact] = len(masks)
+                masks.append(compact)
+                weights.append(weight)
+            keys.append(index << field)
+        return keys
 
-    def _generation_arrays(self, bits: tuple[int, ...]) -> tuple:
-        """Cached per-candidate index/delta arrays for one bits tuple."""
-        entry = self._generation_cache.get(bits)
-        if entry is None:
-            words = self._words
+    @hot_loop
+    def _process_period(
+        self, period: Period, entries: list[tuple[int, int, int]]
+    ) -> list[tuple[int, int, int]]:
+        """Run the period's messages over combined keys; returns one
+        ``(mask, 0, weight)`` entry per distinct surviving pair mask."""
+        kernel = self._kernel
+        if kernel is not self._checked_kernel:
+            # Interned weights are shared by every hypothesis with the
+            # same mask, which is exact only when term sums never round.
+            if not all(
+                isinstance(value, numbers.Integral)
+                for value in (*kernel._d_certain, *kernel._d_maybe)
+            ):
+                raise LearningError(
+                    "the batch kernel requires an integer-valued distance function"
+                )
+            self._checked_kernel = kernel
+        counters = self._counters
+        history: list[tuple[int, ...]] = []
+        keys: list[int] | None = None
+        for message in period.messages:
+            bits = self._message_bits(period, message)
             field = self._field
-            compacts = [self._compact_of[bit] for bit in bits]
-            canonical = np.asarray(
-                [self._canonical_index[c] for c in compacts], dtype=np.int64
-            )
-            mirror = np.asarray(self.table.mirror_index, dtype=np.int64)[
-                canonical
-            ]
-            compact = np.asarray(compacts, dtype=np.int64)
-            word = words + (compact >> 6)
-            shift = (compact & 63).astype(np.uint64)
-            period_word = compact >> 6
-            mirror_c = np.asarray(
-                [self._mirror_compact[c] for c in compacts], dtype=np.int64
-            )
-            seen = (mirror_c < field).astype(np.uint64)
-            mirror_safe = np.where(mirror_c < field, mirror_c, 0)
-            mirror_word = words + (mirror_safe >> 6)
-            mirror_shift = (mirror_safe & 63).astype(np.uint64)
-            delta_new = self._term_f_np[canonical] + self._term_b_np[mirror]
-            delta_mutual = (
-                self._term_fb_np[canonical]
-                - self._term_b_np[canonical]
-                + self._term_fb_np[mirror]
-                - self._term_f_np[mirror]
-            )
-            extension = [(1 << (field + c)) | (1 << c) for c in compacts]
-            entry = (
-                word,
-                shift,
-                period_word,
-                mirror_word,
-                mirror_shift,
-                seen,
-                delta_new,
-                delta_mutual,
-                extension,
-            )
-            self._generation_cache[bits] = entry
-        return entry
+            if keys is None:
+                keys = self._open_pool(entries, bits)
+            elif self._intern_bits(bits):
+                counters.batch_relayouts += 1
+                low = (1 << field) - 1
+                keys = [
+                    ((key >> field) << self._field) | (key & low)
+                    for key in keys
+                ]
+            self._refresh_mirrors()
+            history.append(bits)
+            keys = self._process_combined(keys, bits, history)
+            self._messages += 1
+            self._peak = max(self._peak, len(keys))
+        if keys is None:
+            # Message-free period: the refreshed entries carry through
+            # unchanged (same as the loop path).
+            return entries
+        # _finish_period keeps one weight per pair mask and drops the
+        # period masks, so each distinct mask is decoded once.
+        field = self._field
+        masks = self._pool_masks
+        weights = self._pool_weights
+        return [
+            (self._decode_compact(masks[index]), 0, weights[index])
+            for index in dict.fromkeys(key >> field for key in keys)
+        ]
 
-    # -- the cascaded message step over combined compact keys ----------
+    # -- the cascaded message step over combined keys ------------------
 
     @hot_loop
     def _process_combined(
         self,
-        centries: list[tuple[int, int]],
+        keys: list[int],
         bits: tuple[int, ...],
         history: Sequence[tuple[int, ...]],
-    ) -> list[tuple[int, int]]:
-        """One generalization step on combined compact keys.
+    ) -> list[int]:
+        """One generalization step on combined keys ``(index << field) |
+        period_mask``, returned in pool (insertion) order.
 
-        Child generation is vectorized over the whole pool × candidate
-        matrix; the bound cascade consumes the rows in canonical order
-        through an eager sorted-list pool, so insertion, dedup and merge
-        order all match the loop kernel exactly.
+        Rows are consumed in pool order and columns in canonical bit
+        order, and the pool pops the lightest weight, first in first
+        out, so insertion, dedup and merge order all match the loop
+        kernel's heap exactly.
         """
         counters = self._counters
-        count = len(centries)
-        words = self._words
         field = self._field
-        nbytes = 16 * words
-        keys = [entry[0] for entry in centries]
-        weights = [entry[1] for entry in centries]
-        (
-            word,
-            shift,
-            period_word,
-            mirror_word,
-            mirror_shift,
-            seen,
-            delta_new,
-            delta_mutual,
-            extension,
-        ) = self._generation_arrays(bits)
-        columns = np.frombuffer(
-            b"".join(key.to_bytes(nbytes, "little") for key in keys),
-            dtype="<u8",
-        ).reshape(count, 2 * words)
-        present = (columns[:, word] >> shift) & 1
-        mirrored = (columns[:, mirror_word] >> mirror_shift) & seen & 1
-        feasible = ((columns[:, period_word] >> shift) & 1) == 0
-        delta = np.where(
-            present == 1, 0, np.where(mirrored == 1, delta_mutual, delta_new)
-        )
-        child_weights = (
-            np.asarray(weights, dtype=np.int64)[:, None] + delta
-        ).tolist()
-        feasible_rows = feasible.tolist()
-        counters.batch_messages += 1
-        counters.batch_children += int(feasible.sum())
-
+        low = (1 << field) - 1
         bound = self.bound
-        kernel = self._kernel
-        pool: dict[int, int] = {}
-        order: list[tuple[int, int]] = []  # ascending priority; lightest last
-        pool_pop = pool.pop
-        order_pop = order.pop
-        branch_both = self._branch_both
-        branch_mutual = self._branch_mutual
-        branch_single = self._branch_single
+        masks = self._pool_masks
+        weights = self._pool_weights
+        index_of = self._pool_index
+        term_f = self._kernel._term_f
+        term_b = self._kernel._term_b
+        term_fb = self._kernel._term_fb
         mirror_compact = self._mirror_compact
+        mirror_index = self.table.mirror_index
+        canonical_bit = self._canonical_bit
+        columns = [1 << self._compact_of[bit] for bit in bits]
+        every = sum(columns)  # distinct: a task runs once per period
+        width = len(columns)
+        rows: dict[int, list[tuple[int, int, int]]] = {}
+        pool: dict[int, int] = {}
+        queues: dict[int, deque[int]] = {}
+        live: list[int] = []  # weights with a nonempty queue, ascending
         merges = 0
-        sequence = 0
-        size = 0
-        for row in range(count):
-            key_base = keys[row]
-            row_feasible = feasible_rows[row]
-            row_weights = child_weights[row]
-            any_feasible = False
-            for column, ok in enumerate(row_feasible):
-                if not ok:
-                    continue
-                any_feasible = True
-                key = key_base | extension[column]
-                weight = row_weights[column]
+        children = 0
+
+        def union_index(index: int, other: int) -> int:
+            """Index of ``masks[index] | other``, interned on first sight
+            with an O(popcount) delta on ``weights[index]``."""
+            base = masks[index]
+            union = base | other
+            found = index_of.get(union)
+            if found is not None:
+                return found
+            acquired = union ^ base
+            delta = 0
+            remaining = acquired
+            while remaining:
+                bit = remaining & -remaining
+                remaining ^= bit
+                i = bit.bit_length() - 1
+                mi = mirror_compact[i]
+                term = canonical_bit[i].bit_length() - 1
+                mirror = mirror_index[term]
+                if (acquired >> mi) & 1:  # pair and mirror both new
+                    delta += term_fb[term]
+                elif (base >> mi) & 1:  # both ordered terms turn mutual
+                    delta += (
+                        term_fb[term] - term_b[term]
+                        + term_fb[mirror] - term_f[mirror]
+                    )
+                else:
+                    delta += term_f[term] + term_b[mirror]
+            found = index_of[union] = len(masks)
+            masks.append(union)
+            weights.append(weights[index] + delta)
+            return found
+
+        def insert(key: int, weight: int) -> None:
+            """Add a key known to be new, then merge down to the bound."""
+            nonlocal merges
+            while True:
                 pool[key] = weight
-                if len(pool) == size:
-                    continue
-                size += 1
-                sequence += 1
-                insort(order, (-(weight << SEQ_BITS) - sequence, key))
-                while size > bound:
-                    _priority, first = order_pop()
-                    first_weight = pool_pop(first)
-                    _priority, second = order_pop()
-                    pool_pop(second)
-                    size -= 2
-                    merged = first | second
-                    merges += 1
-                    if merged == first:
-                        merged_weight = first_weight
-                    else:
-                        acquired = (second & ~first) >> field
-                        if acquired:
-                            base_mask = first >> field
-                            delta_sum = 0
-                            remaining = acquired
-                            while remaining:
-                                low = remaining & -remaining
-                                remaining ^= low
-                                i = low.bit_length() - 1
-                                mi = mirror_compact[i]
-                                if (acquired >> mi) & 1:
-                                    delta_sum += branch_both[i]
-                                elif (base_mask >> mi) & 1:
-                                    delta_sum += branch_mutual[i]
-                                else:
-                                    delta_sum += branch_single[i]
-                            merged_weight = first_weight + delta_sum
-                        else:
-                            merged_weight = first_weight
-                    pool[merged] = merged_weight
-                    if len(pool) != size:
-                        size += 1
-                        sequence += 1
-                        insort(
-                            order,
-                            (-(merged_weight << SEQ_BITS) - sequence, merged),
-                        )
-            if not any_feasible:
+                queue = queues.get(weight)
+                if queue is None:
+                    queues[weight] = deque((key,))
+                    insort(live, weight)
+                else:
+                    queue.append(key)
+                if len(pool) <= bound:
+                    return
+                # Pop the two lightest keys, first in first out.
+                weight = live[0]
+                queue = queues[weight]
+                first = queue.popleft()
+                if not queue:
+                    del queues[weight]
+                    del live[0]
+                    queue = queues[live[0]]
+                second = queue.popleft()
+                if not queue:
+                    del queues[live[0]]
+                    del live[0]
+                del pool[first]
+                del pool[second]
+                merges += 1
+                key = first | second
+                if (first ^ second) > low:  # two masks: intern their union
+                    index = union_index(first >> field, masks[second >> field])
+                    weight = weights[index]
+                    key = (index << field) | (key & low)
+                if key in pool:
+                    return
+
+        for key in keys:
+            index = key >> field
+            taken = key & every
+            if taken == every:
                 # Merged-lineage repair runs in canonical space: the
                 # backtracking sorts candidate *bit values*, and compact
                 # values would explore a different order.
-                canonical_mask = self._decode_compact(key_base >> field)
-                repaired = self._reassign_period(canonical_mask, history)
+                repaired = self._reassign_period(
+                    self._decode_compact(masks[index]), history
+                )
                 counters.reassignments += 1
                 if repaired is not None:
                     repaired_mask, repaired_period = repaired
                     counters.weight_scratch_calls += 1
-                    repaired_weight = kernel.set_weight(repaired_mask)
-                    key = (
-                        self._encode_mask(repaired_mask) << field
-                    ) | self._encode_mask(repaired_period)
-                    pool[key] = repaired_weight
-                    if len(pool) != size:
-                        size += 1
-                        sequence += 1
-                        insort(
-                            order,
-                            (-(repaired_weight << SEQ_BITS) - sequence, key),
-                        )
-                        while size > bound:
-                            _priority, first = order_pop()
-                            first_weight = pool_pop(first)
-                            _priority, second = order_pop()
-                            pool_pop(second)
-                            size -= 2
-                            merged = first | second
-                            merges += 1
-                            if merged == first:
-                                merged_weight = first_weight
-                            else:
-                                base_mask = self._decode_compact(first >> field)
-                                other_mask = self._decode_compact(
-                                    second >> field
-                                )
-                                merged_weight = first_weight + (
-                                    kernel.union_delta(base_mask, other_mask)
-                                )
-                            pool[merged] = merged_weight
-                            if len(pool) != size:
-                                size += 1
-                                sequence += 1
-                                insort(
-                                    order,
-                                    (
-                                        -(merged_weight << SEQ_BITS)
-                                        - sequence,
-                                        merged,
-                                    ),
-                                )
+                    weight = self._kernel.set_weight(repaired_mask)
+                    compact = self._encode_mask(repaired_mask)
+                    found = index_of.get(compact)
+                    if found is None:
+                        found = index_of[compact] = len(masks)
+                        masks.append(compact)
+                        weights.append(weight)
+                    key = (found << field) | self._encode_mask(repaired_period)
+                    if key not in pool:
+                        insert(key, weight)
+                continue
+            children += width - taken.bit_count()
+            row = rows.get(index)
+            if row is None:
+                # A child by bit b has mask masks[index] | b and key
+                # key - (index << field) + (child << field) + b.
+                row = rows[index] = []
+                for bit in columns:
+                    child = union_index(index, bit)
+                    row.append((bit, ((child - index) << field) + bit, weights[child]))
+            for bit, offset, weight in row:
+                if not taken & bit:
+                    child_key = key + offset
+                    if child_key not in pool:
+                        insert(child_key, weight)
         self._merges += merges
+        counters.batch_messages += 1
+        counters.batch_children += children
         if not pool:
             raise EmptyHypothesisSpaceError(self._periods)
-        return list(pool.items())
-
-    # -- absorb override: combined keys across the message loop --------
-
-    @hot_loop
-    def _absorb(
-        self, period: Period, dirty: frozenset[tuple[str, str]], mark: float
-    ):
-        counters = self._counters
-        table = self.table
-        dirty_indices = table.indices_of(dirty)
-        version = self.stats.version
-        if self._kernel is None or self._kernel_version != version - 1:
-            self._kernel = WeightKernel(table, self.stats, self.distance)
-        elif dirty_indices:
-            self._kernel.flip(dirty_indices)
-        self._kernel_version = version
-        try:
-            entries = self._refresh_weights(dirty_indices)
-            now = time.perf_counter()
-            counters.refresh_seconds += now - mark
-            mark = now
-            history: list[tuple[int, ...]] = []
-            centries: list[tuple[int, int]] | None = None
-            for message in period.messages:
-                pairs = candidate_pairs(period, message, self.tolerance)
-                if not pairs:
-                    raise EmptyHypothesisSpaceError(self._periods)
-                counters.observe_candidates(len(pairs))
-                bits = table.bits_of(pairs)
-                field_before = self._field
-                grew = self._intern_bits(bits)
-                if centries is None:
-                    # First message: the carried masks may hold bits that
-                    # never crossed a candidate set (checkpoint restore),
-                    # so intern them before fixing this message's layout.
-                    for mask, _period_mask, _weight in entries:
-                        self._intern_mask_bits(mask)
-                    need = max(1, (len(self._canonical_bit) + 63) >> 6)
-                    if need != self._words:
-                        self._words = need
-                        self._field = 64 * need
-                        grew = True
-                    field = self._field
-                    centries = [
-                        (
-                            (self._encode_mask(mask) << field)
-                            | self._encode_mask(period_mask),
-                            weight,
-                        )
-                        for mask, period_mask, weight in entries
-                    ]
-                elif grew:
-                    counters.batch_relayouts += 1
-                    field = self._field
-                    low = (1 << field_before) - 1
-                    centries = [
-                        (
-                            ((key >> field_before) << field) | (key & low),
-                            weight,
-                        )
-                        for key, weight in centries
-                    ]
-                self._refresh_terms()
-                history.append(bits)
-                centries = self._process_combined(centries, bits, history)
-                self._messages += 1
-                self._peak = max(self._peak, len(centries))
-            counters.process_seconds += time.perf_counter() - mark
-            if centries is None:
-                # Message-free period: nothing was combined, the refreshed
-                # entries carry through unchanged (same as the loop path).
-                return entries
-            field = self._field
-            low = (1 << field) - 1
-            return [
-                (
-                    self._decode_compact(key >> field),
-                    self._decode_compact(key & low),
-                    weight,
-                )
-                for key, weight in centries
-            ]
-        except Exception:
-            self._kernel.unflip(dirty_indices)
-            raise
+        return list(pool)
 
     def result(self) -> LearningResult:
         result = super().result()
@@ -863,7 +743,6 @@ def learn_bounded_batch(
 
 __all__ = [
     "KERNEL_CHOICES",
-    "SEQ_BITS",
     "batch_available",
     "resolve_kernel",
     "pack_masks",

@@ -78,6 +78,7 @@ from repro.core.reference import (  # noqa: F401  (re-exported reference helpers
 from repro.core.result import LearningResult
 from repro.core.weights import DistanceFunction, square_distance
 from repro.errors import EmptyHypothesisSpaceError
+from repro.trace.events import MessageOccurrence
 from repro.trace.period import Period
 from repro.trace.trace import Trace
 
@@ -176,17 +177,7 @@ class BoundedLearner(MaskedLearner):
             now = time.perf_counter()
             counters.refresh_seconds += now - mark
             mark = now
-            history: list[tuple[int, ...]] = []
-            for message in period.messages:
-                pairs = candidate_pairs(period, message, self.tolerance)
-                if not pairs:
-                    raise EmptyHypothesisSpaceError(self._periods)
-                counters.observe_candidates(len(pairs))
-                bits = table.bits_of(pairs)
-                history.append(bits)
-                entries = self._process_message(entries, bits, history)
-                self._messages += 1
-                self._peak = max(self._peak, len(entries))
+            entries = self._process_period(period, entries)
             counters.process_seconds += time.perf_counter() - mark
             return entries
         except Exception:
@@ -194,6 +185,30 @@ class BoundedLearner(MaskedLearner):
             # the feed envelope is about to perform.
             self._kernel.unflip(dirty_indices)
             raise
+
+    @hot_loop
+    def _process_period(
+        self, period: Period, entries: list[_Entry]
+    ) -> list[_Entry]:
+        """Run the period's messages over the refreshed carried entries."""
+        history: list[tuple[int, ...]] = []
+        for message in period.messages:
+            bits = self._message_bits(period, message)
+            history.append(bits)
+            entries = self._process_message(entries, bits, history)
+            self._messages += 1
+            self._peak = max(self._peak, len(entries))
+        return entries
+
+    def _message_bits(
+        self, period: Period, message: MessageOccurrence
+    ) -> tuple[int, ...]:
+        """Candidate pair bits of one message (canonical ascending order)."""
+        pairs = candidate_pairs(period, message, self.tolerance)
+        if not pairs:
+            raise EmptyHypothesisSpaceError(self._periods)
+        self._counters.observe_candidates(len(pairs))
+        return self.table.bits_of(pairs)
 
     @hot_loop
     def _finish_period(self, pending: list[_Entry], dirty: frozenset[tuple[str, str]]) -> None:

@@ -95,13 +95,13 @@ class HotLoopCounters:
         Shards learned by the in-process sequential fallback.
     batch_messages:
         Messages whose child generation ran through the batch kernel's
-        vectorized pool × candidate step (:mod:`repro.core.batch`).
+        interned-mask message step (:mod:`repro.core.batch`).
     batch_children:
-        Child hypotheses produced in bulk by those steps (feasible
-        cells of the generation matrix).
+        Child hypotheses produced by those steps (feasible
+        hypothesis × candidate cells).
     batch_relayouts:
-        Compact mask-column layout growths — mid-period re-encodes of
-        the in-flight pool after the interned pair set crossed a word
+        Pool-key layout growths — mid-period re-encodes of the
+        in-flight pool after the interned pair set crossed a word
         boundary.
     wire_tasks_sent:
         Shard tasks framed and dispatched to remote workers by the TCP

@@ -66,8 +66,8 @@ def learn_dependencies(
         Ignored when ``workers=1``.
     kernel:
         Mask-kernel backend of the bounded heuristic: ``"loop"``
-        (per-hypothesis hot loop), ``"batch"`` (vectorized
-        array-of-masks backend, :mod:`repro.core.batch`), or ``"auto"``
+        (per-hypothesis hot loop), ``"batch"`` (interned-mask
+        kernel, :mod:`repro.core.batch`), or ``"auto"``
         (the default — batch when numpy is importable). The backends
         learn bit-for-bit identical models; the choice is purely a
         throughput knob. Exact learning (``bound=None``) always runs

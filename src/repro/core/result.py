@@ -52,7 +52,7 @@ class LearningResult:
     kernel:
         Which mask-kernel backend produced the result: ``"loop"`` (the
         per-hypothesis interned-bitmask hot loop) or ``"batch"`` (the
-        vectorized array-of-masks backend of :mod:`repro.core.batch`).
+        interned-mask kernel of :mod:`repro.core.batch`).
         The two are bit-for-bit identical in output; the field is run
         metadata for profiles and benchmarks.
     hot_loop:

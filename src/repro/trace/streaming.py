@@ -147,7 +147,7 @@ def stream_learn(
 
     *kernel* selects the mask-kernel backend exactly as
     :func:`~repro.core.learner.make_learner` does (``"auto"`` — the
-    default — picks the vectorized batch kernel when numpy is
+    default — picks the batch kernel when numpy is
     available); the backends learn bit-for-bit identical models.
 
     A feed that raises mid-stream leaves the learner untouched (the

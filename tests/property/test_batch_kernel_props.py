@@ -1,7 +1,7 @@
 """Property-based identity of the batch kernel (repro.core.batch).
 
-The vectorized array-of-masks backend must be *bit-for-bit* the loop
-kernel on every trace — not statistically close, identical. Random
+The batch backend must be *bit-for-bit* the loop kernel on every
+trace — not statistically close, identical. Random
 small systems are generated, simulated, and learned three ways (loop,
 batch, reference oracle); every observable of the run must agree
 (exact learning has a single implementation, checked against the
@@ -14,6 +14,12 @@ reference under every kernel name):
   pool size, message count);
 * the checkpoint JSON — including saving under one kernel and resuming
   under the other mid-trace.
+
+The workload-scale section drives the same identity through traces big
+enough to exercise the batch kernel's rare paths: designs with more
+than 64 candidate pairs (key relayouts), bounds up to 64 over 20
+periods (merged-lineage repairs, equal-weight ties between different
+pair masks), and the GM case study.
 """
 
 import json
@@ -23,9 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.graph import DependencyGraph
-from repro.core.batch import batch_available, resolve_kernel
+from repro.bench.workloads import gm_workload
+from repro.core import lattice
+from repro.core.batch import BatchBoundedLearner, batch_available, resolve_kernel
 from repro.core.checkpoint import checkpoint_from_dict, checkpoint_to_dict
-from repro.core.heuristic import learn_bounded
+from repro.core.heuristic import BoundedLearner
 from repro.core.learner import learn_dependencies, make_learner
 from repro.core.reference import learn_bounded_reference, learn_exact_reference
 from repro.core.sharded import learn_bounded_sharded
@@ -162,3 +170,142 @@ def test_sharded_workers2_batch_equals_loop(seed):
     assert loop.lub() == batch.lub()
     assert loop.merge_count == batch.merge_count
     assert batch.hot_loop.batch_messages > 0
+
+
+# ---------------------------------------------------------------------------
+# Workload scale
+
+#: Timing tolerance of the workload-scale traces. It widens candidate
+#: sets, so 12-task designs intern more than 64 candidate pairs.
+WIDE_TOLERANCE = 2.0
+WIDE_BOUNDS = (1, 2, 3, 5, 8, 16, 33, 64)
+
+
+def wide_trace(tasks: int, seed: int, periods: int = 20):
+    config = RandomDesignConfig(
+        task_count=tasks,
+        ecu_count=4,
+        layer_count=4,
+        extra_edge_probability=0.5,
+    )
+    simulator = Simulator(
+        random_design(config, seed=seed),
+        SimulatorConfig(period_length=200.0),
+        seed=seed,
+    )
+    return simulator.run(periods).trace
+
+
+class CountingLoopLearner(BoundedLearner):
+    """The loop kernel, also counting what the batch kernel reports:
+    feasible (hypothesis, candidate) cells, and pools that hold two
+    different pair masks of equal weight (the FIFO tie case)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.children = 0
+        self.tied_pools = 0
+
+    def _process_message(self, entries, bits, history):
+        for _mask, period_mask, _weight in entries:
+            self.children += sum(1 for bit in bits if not period_mask & bit)
+        entries = super()._process_message(entries, bits, history)
+        mask_of_weight = {}
+        for mask, _period_mask, weight in entries:
+            if mask_of_weight.setdefault(weight, mask) != mask:
+                self.tied_pools += 1
+                break
+        return entries
+
+
+def run_both(trace, bound, tolerance=WIDE_TOLERANCE):
+    """Learn *trace* under both kernels; assert every observable agrees."""
+    loop = CountingLoopLearner(trace.tasks, bound, tolerance)
+    loop.feed_trace(trace.periods)
+    batch = BatchBoundedLearner(trace.tasks, bound, tolerance)
+    batch.feed_trace(trace.periods)
+    loop_result, batch_result = loop.result(), batch.result()
+    assert_results_identical(loop_result, batch_result)
+    assert batch_result.hot_loop.batch_children == loop.children
+    assert (
+        batch_result.hot_loop.reassignments
+        == loop_result.hot_loop.reassignments
+    )
+    return loop, batch_result
+
+
+@pytest.mark.parametrize("tasks, seed", [(9, 0), (12, 3)])
+def test_bound_sweep_matches_loop_at_workload_scale(tasks, seed):
+    trace = wide_trace(tasks, seed)
+    repairs = relayouts = tied_pools = 0
+    for bound in WIDE_BOUNDS:
+        loop, batch = run_both(trace, bound)
+        repairs += batch.hot_loop.reassignments
+        relayouts += batch.hot_loop.batch_relayouts
+        tied_pools += loop.tied_pools
+        assert batch.peak_hypotheses <= bound
+    assert repairs > 0
+    assert tied_pools > 0
+    if tasks == 12:
+        assert relayouts > 0
+
+
+def test_wide_designs_relayout_keys_and_match_loop():
+    """More than 64 pair bits: keys are re-laid mid-period."""
+    relayouts = 0
+    for tasks, seed in [(10, 0), (11, 0), (12, 0), (12, 1)]:
+        _loop, batch = run_both(wide_trace(tasks, seed), bound=4)
+        relayouts += batch.hot_loop.batch_relayouts
+    assert relayouts > 0
+
+
+@pytest.mark.parametrize("first, second", [("loop", "batch"), ("batch", "loop")])
+def test_wide_checkpoint_resume_across_kernels(first, second):
+    trace = wide_trace(12, 3)
+    half = len(trace.periods) // 2
+    full = make_learner(
+        trace.tasks, bound=8, tolerance=WIDE_TOLERANCE, kernel="loop"
+    )
+    full.feed_trace(trace.periods)
+    spliced = make_learner(
+        trace.tasks, bound=8, tolerance=WIDE_TOLERANCE, kernel=first
+    )
+    spliced.feed_trace(trace.periods[:half])
+    resumed = checkpoint_from_dict(checkpoint_to_dict(spliced), kernel=second)
+    resumed.feed_trace(trace.periods[half:])
+    assert_results_identical(full.result(), resumed.result())
+
+    def dumps(learner):
+        data = checkpoint_to_dict(learner)
+        data.pop("elapsed")
+        return json.dumps(data)
+
+    assert dumps(resumed) == dumps(full)
+
+
+def test_gm_bound64_merge_count_is_pinned():
+    """48 GM periods, seed 7 (``repro simulate gm --periods 48 --seed
+    7``): the merge count both kernels reproduce."""
+    trace = gm_workload(48, seed=7).trace
+    learner = BatchBoundedLearner(trace.tasks, 64)
+    learner.feed_trace(trace.periods)
+    result = learner.result()
+    assert result.merge_count == 473_223
+    assert result.peak_hypotheses == 64
+
+
+def float_distance(value):
+    return lattice.distance(value) + 0.5
+
+
+def test_batch_kernel_rejects_a_float_distance():
+    trace = small_trace(3)
+    batch = BatchBoundedLearner(trace.tasks, 4, distance=float_distance)
+    with pytest.raises(
+        LearningError,
+        match="the batch kernel requires an integer-valued distance function",
+    ):
+        batch.feed_trace(trace.periods)
+    loop = BoundedLearner(trace.tasks, 4, distance=float_distance)
+    loop.feed_trace(trace.periods)
+    assert loop.result().hypotheses
