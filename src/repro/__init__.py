@@ -28,7 +28,13 @@ Packages:
 * :mod:`repro.theory` — executable theorem checks and the NP-hardness
   construction;
 * :mod:`repro.bench` — benchmark workloads and reporting.
+
+The simulator names (``simulate_trace``, ``SimulatorConfig``) load
+:mod:`repro.sim` on first use, so importing ``repro`` to learn from a
+logged trace never loads the simulator.
 """
+
+from typing import Any
 
 from repro.core import (
     BoundedLearner,
@@ -55,7 +61,6 @@ from repro.errors import (
     TraceError,
     TraceParseError,
 )
-from repro.sim import SimulatorConfig, simulate_trace
 from repro.trace import Period, Trace
 
 __version__ = "1.0.0"
@@ -91,3 +96,11 @@ __all__ = [
     "EmptyHypothesisSpaceError",
     "AnalysisError",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in ("SimulatorConfig", "simulate_trace"):
+        from repro import sim
+
+        return getattr(sim, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

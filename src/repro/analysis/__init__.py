@@ -1,93 +1,84 @@
-"""Downstream analyses over learned dependency functions."""
+"""Downstream analyses over learned dependency functions.
 
-from repro.analysis.classify import (
-    NodeKind,
-    classify_all,
-    classify_node,
-    is_conjunction,
-    is_disjunction,
-    summarize,
-)
-from repro.analysis.compare import (
-    AgreementReport,
-    EdgeRecovery,
-    compare_functions,
-    edge_recovery,
-    learned_forward_pairs,
-)
-from repro.analysis.coverage import CoverageReport, coverage
-from repro.analysis.convergence import (
-    CurvePoint,
-    LearningCurve,
-    learning_curve,
-)
-from repro.analysis.dossier import Dossier, build_dossier
-from repro.analysis.drift import (
-    DriftMonitor,
-    DriftReport,
-    DriftVerdict,
-    PeriodStatus,
-)
-from repro.analysis.graph import DependencyGraph, restrict_tasks
-from repro.analysis.modes import (
-    Mode,
-    ModeReport,
-    extract_modes,
-    per_mode_models,
-)
-from repro.analysis.holistic import (
-    HolisticComparison,
-    HolisticReport,
-    analyze as holistic_analyze,
-    compare as holistic_compare,
-)
-from repro.analysis.sensitivity import (
-    FactStability,
-    StabilityReport,
-    robust_model,
-    stability,
-)
-from repro.analysis.report import (
-    dumps_model,
-    function_from_dict,
-    function_to_dict,
-    loads_model,
-    markdown_report,
-    to_graphml,
-)
-from repro.analysis.latency import (
-    LatencyComparison,
-    PathLatencyReport,
-    ResponseTimeReport,
-    compare_path_latency,
-    path_latency,
-    response_time,
-)
-from repro.analysis.pathfinder import (
-    CriticalPathComparison,
-    RankedPath,
-    compare_critical_paths,
-    critical_paths,
-    enumerate_paths,
-)
-from repro.analysis.properties import (
-    CertainDependency,
-    ConjunctionNode,
-    DisjunctionNode,
-    ImplicitOrdering,
-    MustExecuteWith,
-    Property,
-    Verdict,
-    prove_all,
-    proved_fraction,
-    published_case_study_properties,
-)
-from repro.analysis.reachability import (
-    ReachabilityReport,
-    ReductionReport,
-    compare_state_spaces,
-    explore_states,
-)
+Every analysis loads on first use (PEP 562): ``from repro.analysis
+import X`` imports only the submodule that defines ``X``, so a command
+that only writes a model never pays for the other analyses.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+import types
+from typing import Any
+
+
+class _Package(types.ModuleType):
+    """Keeps ``repro.analysis.coverage`` the function in every import order.
+
+    ``coverage`` names both a submodule and the function it defines, and
+    loading a submodule makes the import system set the package attribute
+    of that name to the module.
+    """
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        if name == "coverage" and isinstance(value, types.ModuleType):
+            value = value.coverage
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package
+
+#: Submodule -> the names it exports through this package.
+_EXPORTS = {
+    "classify": ("NodeKind", "classify_all", "classify_node",
+                 "is_conjunction", "is_disjunction", "summarize"),
+    "compare": ("AgreementReport", "EdgeRecovery", "compare_functions",
+                "edge_recovery", "learned_forward_pairs"),
+    "convergence": ("CurvePoint", "LearningCurve", "learning_curve"),
+    "coverage": ("CoverageReport", "coverage"),
+    "dossier": ("Dossier", "build_dossier"),
+    "drift": ("DriftMonitor", "DriftReport", "DriftVerdict", "PeriodStatus"),
+    "graph": ("DependencyGraph", "restrict_tasks"),
+    "holistic": ("HolisticComparison", "HolisticReport", "holistic_analyze",
+                 "holistic_compare"),
+    "latency": ("LatencyComparison", "PathLatencyReport",
+                "ResponseTimeReport", "compare_path_latency", "path_latency",
+                "response_time"),
+    "modes": ("Mode", "ModeReport", "extract_modes", "per_mode_models"),
+    "pathfinder": ("CriticalPathComparison", "RankedPath",
+                   "compare_critical_paths", "critical_paths",
+                   "enumerate_paths"),
+    "properties": ("CertainDependency", "ConjunctionNode", "DisjunctionNode",
+                   "ImplicitOrdering", "MustExecuteWith", "Property",
+                   "Verdict", "prove_all", "proved_fraction",
+                   "published_case_study_properties"),
+    "reachability": ("ReachabilityReport", "ReductionReport",
+                     "compare_state_spaces", "explore_states"),
+    "report": ("dumps_model", "function_from_dict", "function_to_dict",
+               "loads_model", "markdown_report", "to_graphml"),
+    "sensitivity": ("FactStability", "StabilityReport", "robust_model",
+                    "stability"),
+}
+
+#: Exported name -> defining submodule.
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+#: Exported names that differ from the submodule's own.
+_RENAMED = {"holistic_analyze": "analyze", "holistic_compare": "compare"}
+
+
+def __getattr__(name: str) -> Any:
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(
+        importlib.import_module(f"{__name__}.{module}"),
+        _RENAMED.get(name, name),
+    )
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "DependencyGraph",

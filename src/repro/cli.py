@@ -31,24 +31,12 @@ from typing import Sequence, TextIO
 
 from repro.errors import ReproError
 from repro.pipeline import PipelineConfig, run_pipeline
-from repro.sim.simulator import Simulator, SimulatorConfig
-from repro.systems.examples import (
-    diamond_design,
-    pipeline_design,
-    simple_four_task_design,
-)
-from repro.systems.gateway import gateway_design
-from repro.systems.gm import gm_case_study_design
-from repro.systems.random_gen import RandomDesignConfig, random_design
 from repro.trace.formats import format_names, resolve_format
 
-DESIGNS = {
-    "simple": simple_four_task_design,
-    "gm": gm_case_study_design,
-    "gateway": gateway_design,
-    "diamond": diamond_design,
-    "pipeline": lambda: pipeline_design(5),
-}
+#: Reference designs ``repro simulate`` runs by name. Only ``simulate``
+#: loads the simulator and the design models, so the other commands
+#: never import them.
+DESIGNS = ("diamond", "gateway", "gm", "pipeline", "simple")
 
 
 def _add_format_flag(parser: argparse.ArgumentParser) -> None:
@@ -70,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     simulate = sub.add_parser("simulate", help="simulate a reference design")
     simulate.add_argument(
-        "design", choices=sorted(DESIGNS) + ["random", "file"]
+        "design", choices=DESIGNS + ("random", "file")
     )
     simulate.add_argument("--design-file",
                           help="JSON design spec (with design = file)")
@@ -275,21 +263,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
-    if args.design == "file":
-        from repro.systems.specio import load_design
+    from repro import systems
+    from repro.sim.simulator import Simulator, SimulatorConfig
 
+    if args.design == "file":
         if not args.design_file:
             raise ReproError("simulate file requires --design-file")
         with open(args.design_file, "r", encoding="utf-8") as stream:
-            design = load_design(stream)
+            design = systems.load_design(stream)
         default_length = 100.0
     elif args.design == "random":
-        design = random_design(
-            RandomDesignConfig(task_count=args.tasks), seed=args.seed
+        design = systems.random_design(
+            systems.RandomDesignConfig(task_count=args.tasks), seed=args.seed
         )
         default_length = 60.0 + 8.0 * args.tasks
     else:
-        design = DESIGNS[args.design]()
+        design = {
+            "diamond": systems.diamond_design,
+            "gateway": systems.gateway_design,
+            "gm": systems.gm_case_study_design,
+            "pipeline": lambda: systems.pipeline_design(5),
+            "simple": systems.simple_four_task_design,
+        }[args.design]()
         default_length = 100.0
     length = (
         args.period_length if args.period_length is not None else default_length

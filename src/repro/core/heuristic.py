@@ -68,13 +68,6 @@ from repro.core.instrumentation import hot_loop
 from repro.core.candidates import candidate_pairs
 from repro.core.hypothesis import Hypothesis
 from repro.core.interning import WeightKernel
-from repro.core.reference import (  # noqa: F401  (re-exported reference helpers)
-    extension_delta as _extension_delta,
-    flip_delta as _flip_delta,
-    pair_value as _pair_value,
-    set_weight as _set_weight,
-    union_weight as _union_weight,
-)
 from repro.core.result import LearningResult
 from repro.core.weights import DistanceFunction, square_distance
 from repro.errors import EmptyHypothesisSpaceError

@@ -21,22 +21,3 @@ Findings are suppressed per line with ``# repro-lint: ignore[RL00x]``
 (see :mod:`repro.devtools.lint.suppressions` for the policy). Run via
 ``repro lint``, ``python -m repro.devtools.lint``, or ``make lint``.
 """
-
-from repro.devtools.lint.engine import (
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.devtools.lint.findings import Finding, LintReport
-from repro.devtools.lint.registry import Rule, all_rules, get_rule
-
-__all__ = [
-    "Finding",
-    "LintReport",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-]

@@ -20,9 +20,6 @@ import sys
 from pathlib import Path
 from typing import Sequence, TextIO
 
-from repro.devtools.lint.engine import lint_paths
-from repro.devtools.lint.registry import all_rules
-
 DEFAULT_PATHS = ("src/repro",)
 
 
@@ -119,6 +116,12 @@ def _scoped(files: Sequence[Path], scopes: Sequence[str]) -> list[Path]:
 
 def run_lint(args: argparse.Namespace, out: TextIO) -> int:
     """Execute a parsed lint invocation; returns the exit code."""
+    # Here, not at module level: ``repro`` mounts add_lint_arguments on
+    # every run, and only a lint needs the engine and the rules (which
+    # the engine's import registers).
+    from repro.devtools.lint.engine import lint_paths
+    from repro.devtools.lint.registry import all_rules
+
     if args.list_rules:
         for rule in all_rules():
             out.write(f"{rule.code} {rule.name}\n    {rule.invariant}\n")

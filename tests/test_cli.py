@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,44 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+#: Runs ``repro`` in a fresh interpreter and prints, as its last line,
+#: the exit code and every module loaded by the time ``main`` returned.
+_LOADED_PROBE = (
+    "import io, json, sys; from repro.cli import main; "
+    "out = io.StringIO(); code = main(sys.argv[1:], out=out); "
+    "print(out.getvalue()); print(json.dumps([code, sorted(sys.modules)]))"
+)
+
+
+def run_fresh(*argv, cwd=None):
+    """``repro *argv`` in a new interpreter: (exit code, output, modules)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED_PROBE, *argv],
+        env=dict(os.environ, PYTHONPATH=src), cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    code, modules = json.loads(lines[-1])
+    return code, "\n".join(lines[:-1]), set(modules)
+
+
+def off_path_modules(modules):
+    """Loaded modules that a learn, ingest or store-info never runs."""
+    kept_analyses = {"repro.analysis.report", "repro.analysis.classify",
+                     "repro.analysis.graph"}
+    return sorted(
+        name for name in modules
+        if name in ("repro.devtools.lint.engine",
+                    "repro.devtools.lint.registry")
+        or name.startswith(("repro.devtools.lint.rules", "repro.sim",
+                            "repro.systems"))
+        or (name.startswith("repro.analysis.")
+            and name not in kept_analyses)
+    )
 
 
 @pytest.fixture()
@@ -100,26 +142,11 @@ class TestLearn:
 
     def test_model_json_learn_never_imports_networkx(self, trace_file, tmp_path):
         """networkx is costly to import and only graph output needs it."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        probe = (
-            "import sys; from repro.cli import main; "
-            "code = main(sys.argv[1:]); "
-            "assert code == 0, code; "
-            "assert 'networkx' not in sys.modules, 'networkx imported'"
-        )
         model = str(tmp_path / "m.json")
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run(
-            [sys.executable, "-c", probe, "learn", trace_file,
-             "--quiet", "--model-json", model],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+        code, _, modules = run_fresh(
+            "learn", trace_file, "--quiet", "--model-json", model)
+        assert code == 0
+        assert "networkx" not in modules
         assert json.load(open(model, encoding="utf-8"))["format"] == (
             "repro-dependency-model"
         )
@@ -415,3 +442,51 @@ class TestHotLoopFlag:
         assert "pipeline stages:" in output
         assert "ingest" in output
         assert "hot loop" in output
+
+
+
+class TestImportBoundary:
+    """Each command imports only the code it runs."""
+
+    def test_exact_learn(self, trace_file, tmp_path):
+        code, _, modules = run_fresh(
+            "learn", trace_file, "--quiet",
+            "--model-json", str(tmp_path / "m.json"))
+        assert code == 0
+        assert off_path_modules(modules) == []
+
+    def test_bounded_learn(self, trace_file, tmp_path):
+        code, _, modules = run_fresh(
+            "learn", trace_file, "--bound", "8", "--quiet",
+            "--model-json", str(tmp_path / "m.json"))
+        assert code == 0
+        assert off_path_modules(modules) == []
+        # The string learner is the test oracle, not a bounded-learn helper.
+        assert "repro.core.reference" not in modules
+
+    def test_ingest_and_store_info(self, trace_file, tmp_path):
+        store = str(tmp_path / "t.rts")
+        code, _, modules = run_fresh("ingest", trace_file, "-o", store)
+        assert code == 0
+        assert off_path_modules(modules) == []
+        code, output, modules = run_fresh("store-info", store)
+        assert code == 0
+        assert "periods: 15" in output
+        assert off_path_modules(modules) == []
+
+    def test_lint_list_rules_loads_every_rule(self):
+        code, output, modules = run_fresh("lint", "--list-rules")
+        assert code == 0
+        codes = [line.split()[0] for line in output.splitlines()
+                 if line.startswith("RL")]
+        assert codes == [f"RL00{n}" for n in range(1, 9)]
+        assert "repro.devtools.lint.engine" in modules
+
+    def test_simulate_loads_the_simulator(self, tmp_path):
+        code, output, modules = run_fresh(
+            "simulate", "gm", "--periods", "4", "--out", "t.log",
+            cwd=str(tmp_path))
+        assert code == 0
+        assert "wrote 4 periods" in output
+        assert len(read_trace(str(tmp_path / "t.log"))) == 4
+        assert "repro.sim.simulator" in modules

@@ -3,15 +3,10 @@
 import pytest
 
 from repro.core.exact import learn_exact
-from repro.core.heuristic import (
-    BoundedLearner,
-    _extension_delta,
-    _pair_value,
-    _union_weight,
-    learn_bounded,
-)
+from repro.core.heuristic import BoundedLearner, learn_bounded
 from repro.core.hypothesis import Hypothesis
 from repro.core.lattice import DETERMINES, MAY_DETERMINE, MUTUAL, PARALLEL
+from repro.core.reference import extension_delta, pair_value, union_weight
 from repro.core.stats import CoExecutionStats
 from repro.trace.synthetic import paper_figure2_trace, serial_chain_trace
 
@@ -30,7 +25,7 @@ class TestWeightHelpers:
         for x in ("a", "b", "c"):
             for y in ("a", "b", "c"):
                 if x != y:
-                    assert _pair_value(pairs, x, y, stats) is hypothesis.value(
+                    assert pair_value(pairs, x, y, stats) is hypothesis.value(
                         x, y, stats
                     )
 
@@ -39,13 +34,13 @@ class TestWeightHelpers:
         base = Hypothesis(frozenset({("a", "b")}))
         for pair in (("b", "a"), ("a", "c"), ("c", "b")):
             extended = Hypothesis(base.pairs | {pair})
-            delta = _extension_delta(base.pairs, pair, stats)
+            delta = extension_delta(base.pairs, pair, stats)
             assert base.weight(stats) + delta == extended.weight(stats)
 
     def test_extension_delta_zero_for_existing_pair(self):
         stats = self.make_stats()
         base = Hypothesis(frozenset({("a", "b")}))
-        assert _extension_delta(base.pairs, ("a", "b"), stats) == 0
+        assert extension_delta(base.pairs, ("a", "b"), stats) == 0
 
     def test_union_weight_consistent(self):
         stats = self.make_stats()
@@ -53,7 +48,7 @@ class TestWeightHelpers:
         right = Hypothesis(frozenset({("b", "a"), ("c", "a")}))
         merged = left.merge(right)
         assert (
-            _union_weight(left.pairs, left.weight(stats), right.pairs, stats)
+            union_weight(left.pairs, left.weight(stats), right.pairs, stats)
             == merged.weight(stats)
         )
 

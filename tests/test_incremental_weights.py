@@ -1,7 +1,7 @@
 """Incremental weight maintenance and all-or-nothing feeding.
 
 Differential tests pin the bounded learner's dirty-pair weight refresh
-against the from-scratch Definition 8 evaluation (``_set_weight``) on
+against the from-scratch Definition 8 evaluation (``set_weight``) on
 randomized traces; recovery tests pin the all-or-nothing contract of
 ``feed`` for both learners.
 """
@@ -9,7 +9,8 @@ randomized traces; recovery tests pin the all-or-nothing contract of
 import pytest
 
 from repro.core.exact import ExactLearner
-from repro.core.heuristic import BoundedLearner, _flip_delta, _set_weight
+from repro.core.heuristic import BoundedLearner
+from repro.core.reference import flip_delta, set_weight
 from repro.core.stats import CoExecutionStats
 from repro.core.weights import NAMED_DISTANCES
 from repro.errors import EmptyHypothesisSpaceError, LearningError
@@ -88,11 +89,11 @@ class TestDirtyPairs:
             ):
                 before = CoExecutionStats(("a", "b", "c"))
                 before.add_period({"a", "b", "c"})
-                old = _set_weight(pairs, before, distance)
+                old = set_weight(pairs, before, distance)
                 dirty = before.add_period({"a", "c"})  # (a, b)/(c, b) flip
-                new = _set_weight(pairs, before, distance)
+                new = set_weight(pairs, before, distance)
                 applied = old + sum(
-                    _flip_delta(pairs, s, r, distance) for s, r in dirty
+                    flip_delta(pairs, s, r, distance) for s, r in dirty
                 )
                 assert applied == new, (name, sorted(pairs))
 
@@ -107,7 +108,7 @@ class TestDifferential:
             learner.feed(period)
             for hypothesis in learner._hypotheses:
                 mask = learner.table.mask_of(hypothesis.pairs)
-                assert learner._weights[mask] == _set_weight(
+                assert learner._weights[mask] == set_weight(
                     hypothesis.pairs, learner.stats
                 )
 
@@ -135,7 +136,7 @@ class TestDifferential:
             learner.feed(period)
             for hypothesis in learner._hypotheses:
                 mask = learner.table.mask_of(hypothesis.pairs)
-                assert learner._weights[mask] == _set_weight(
+                assert learner._weights[mask] == set_weight(
                     hypothesis.pairs, learner.stats, distance
                 )
         assert learner._counters.weight_refresh_scratch == 0
@@ -148,7 +149,7 @@ class TestDifferential:
             cached = hypothesis._weight_cache
             assert cached == (
                 learner.stats.version,
-                _set_weight(hypothesis.pairs, learner.stats),
+                set_weight(hypothesis.pairs, learner.stats),
             )
 
 
@@ -285,6 +286,6 @@ class TestAllOrNothingFeed:
                     learner.feed(bad_period(trace.tasks))
             for hypothesis in learner._hypotheses:
                 mask = learner.table.mask_of(hypothesis.pairs)
-                assert learner._weights[mask] == _set_weight(
+                assert learner._weights[mask] == set_weight(
                     hypothesis.pairs, learner.stats
                 )
