@@ -211,9 +211,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="after exhausted retries: reject the append "
                        "and keep the session, or close it (default: "
                        "reject)")
-    serve.add_argument("--feed-threads", type=int, default=4,
-                       help="threads feeding learners across sessions "
-                       "(default: 4)")
     serve.add_argument("--spool-dir", default=None,
                        help="directory for eviction checkpoints (default: "
                        "a private temporary directory)")
@@ -465,7 +462,6 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
         max_live=args.max_live,
         retries=args.retries,
         degrade=args.degrade,
-        feed_threads=args.feed_threads,
         spool_dir=args.spool_dir,
     )
 

@@ -214,8 +214,15 @@ class HotLoopCounters:
             self.candidates_max = size
 
     def copy(self) -> "HotLoopCounters":
-        """An independent snapshot (results must not alias live counters)."""
-        return dataclasses.replace(self)
+        """An independent snapshot (results must not alias live counters).
+
+        Every field is an immutable scalar, so a ``__dict__`` copy is a
+        full snapshot; ``feed`` takes one per period as its rollback
+        point, and ``dataclasses.replace`` would re-run ``__init__``.
+        """
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def merge(self, other: "HotLoopCounters") -> None:
         """Fold another run's counters into this one (shard merging).

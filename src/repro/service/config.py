@@ -27,6 +27,10 @@ DEGRADE_MODES = ("reject", "close")
 class SessionPolicy:
     """Fault-tolerance and resource policy for the session service.
 
+    There is no feed concurrency to size: every learner runs on the
+    daemon's event loop, one session op per turn, so ``queue_depth``
+    and ``max_live`` are the only resource bounds.
+
     Attributes
     ----------
     queue_depth:
@@ -46,9 +50,6 @@ class SessionPolicy:
         number, like the shard runtime's deterministic backoff).
     degrade:
         One of :data:`DEGRADE_MODES`.
-    feed_threads:
-        Worker threads feeding learners; sessions are serialized
-        individually, so this bounds cross-session feed concurrency.
     spool_dir:
         Directory for eviction checkpoints. ``None`` lets the server
         create a private temporary directory for the daemon's lifetime.
@@ -59,7 +60,6 @@ class SessionPolicy:
     retries: int = 1
     backoff: float = 0.0
     degrade: str = "reject"
-    feed_threads: int = 4
     spool_dir: str | None = None
 
     def __post_init__(self) -> None:
@@ -75,8 +75,6 @@ class SessionPolicy:
             raise ValueError(
                 f"degrade must be one of {DEGRADE_MODES}, got {self.degrade!r}"
             )
-        if self.feed_threads < 1:
-            raise ValueError("feed_threads must be at least 1")
 
 
 __all__ = ["DEGRADE_MODES", "SessionPolicy"]

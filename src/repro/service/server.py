@@ -10,9 +10,11 @@ loops here). The shape:
   connection handler ``await``s the queue put, so a slow learner stops
   the handler reading its socket — backpressure reaches the client as
   TCP flow control, never as daemon memory;
-* learner work (feeds, model queries) runs on a small thread pool via
-  ``run_in_executor``; per-session ops are serialized by the queue, so
-  a learner is only ever touched by one thread at a time;
+* learner work (feeds, model dumps) runs on the loop itself, inside
+  the session's worker task; the worker yields after every op, so
+  sessions share the loop round-robin, one op per turn. Feeds are pure
+  Python, so a thread pool would add a hand-off per period and no
+  parallelism;
 * op failures are contained per session: a feed that raises is rolled
   back by the learner's all-or-nothing ``feed`` envelope, charged to
   the :class:`~repro.service.config.SessionPolicy` retry budget, and
@@ -34,7 +36,6 @@ import json
 import os
 import socket
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.analysis.report import dumps_model
 from repro.distributed.framing import (
@@ -107,7 +108,6 @@ class ServiceServer:
         self.address: str | None = None
         self.manager: SessionManager | None = None
         self._spool_tmp: tempfile.TemporaryDirectory | None = None
-        self._pool: ThreadPoolExecutor | None = None
         self._stop: asyncio.Event | None = None
         self._server: asyncio.base_events.Server | None = None
         self._connections: set[asyncio.Task] = set()
@@ -122,10 +122,6 @@ class ServiceServer:
             spool_dir = self._spool_tmp.name
         os.makedirs(spool_dir, exist_ok=True)
         self.manager = SessionManager(self.policy, spool_dir)
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.policy.feed_threads,
-            thread_name_prefix="repro-service-feed",
-        )
         self._stop = asyncio.Event()
         self._server = await asyncio.start_server(self._handle, host, port)
         bound_host, bound_port = self._server.sockets[0].getsockname()[:2]
@@ -150,7 +146,6 @@ class ServiceServer:
             for session in list(self.manager.live.values()):
                 if session.worker is not None:
                     session.worker.cancel()
-            self._pool.shutdown(wait=False)
             if self._spool_tmp is not None:
                 self._spool_tmp.cleanup()
 
@@ -170,7 +165,6 @@ class ServiceServer:
                 "max_live": self.policy.max_live,
                 "retries": self.policy.retries,
                 "degrade": self.policy.degrade,
-                "feed_threads": self.policy.feed_threads,
             },
             "live_sessions": len(manager.live),
             "spooled_sessions": len(manager.spooled_ids()),
@@ -330,6 +324,8 @@ class ServiceServer:
                 session.queue.task_done()
             if done:
                 return
+            # One op per turn: let the other sessions' workers run.
+            await asyncio.sleep(0)
 
     async def _apply(
         self, session: Session, message: dict, responder: _Responder | None
@@ -340,9 +336,7 @@ class ServiceServer:
         if kind in ("append", "events"):
             return await self._apply_append(session, message, responder)
         if kind == "query":
-            model_json = await self._in_pool(
-                lambda: dumps_model(session.learner.result().lub())
-            )
+            model_json = dumps_model(session.learner.result().lub())
             await self._reply(
                 responder,
                 {
@@ -379,9 +373,7 @@ class ServiceServer:
             )
             return True
         if kind == "close":
-            model_json = await self._in_pool(
-                lambda: dumps_model(session.learner.result().lub())
-            )
+            model_json = dumps_model(session.learner.result().lub())
             periods = session.learner._periods
             manager.discard(session)
             await self._reply(
@@ -488,7 +480,7 @@ class ServiceServer:
         attempt = 0
         while True:
             try:
-                await self._in_pool(lambda: session.learner.feed(period))
+                session.learner.feed(period)
                 return None
             except Exception as error:  # noqa: BLE001 - charged to policy
                 session.feed_errors += 1
@@ -527,11 +519,6 @@ class ServiceServer:
     async def _reply(self, responder: _Responder | None, payload: dict) -> None:
         if responder is not None:
             await responder.send(payload)
-
-    async def _in_pool(self, fn):
-        return await asyncio.get_running_loop().run_in_executor(
-            self._pool, fn
-        )
 
 
 # ----------------------------------------------------------------------

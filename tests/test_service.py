@@ -68,6 +68,17 @@ def bad_period(index: int = 0) -> Period:
     )
 
 
+class Replies:
+    """A responder stand-in that records every reply frame in order."""
+
+    def __init__(self):
+        self.frames = []
+
+    async def send(self, payload):
+        self.frames.append(payload)
+        return True
+
+
 @pytest.fixture
 def daemon():
     thread = ServiceThread(SessionPolicy(max_live=8, queue_depth=4))
@@ -101,7 +112,6 @@ class TestPolicy:
             {"retries": -1},
             {"backoff": -0.1},
             {"degrade": "explode"},
-            {"feed_threads": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -324,26 +334,16 @@ class TestEvictionPressure:
         """Pressure queues an evict for an idle victim; an append that
         lands behind it on the victim's queue must still be acked."""
         import asyncio
-        from concurrent.futures import ThreadPoolExecutor
 
         from repro.service import ops as service_ops
         from repro.service.eviction import SessionManager
         from repro.service.server import ServiceServer
-
-        class Replies:
-            def __init__(self):
-                self.frames = []
-
-            async def send(self, payload):
-                self.frames.append(payload)
-                return True
 
         trace = canonical_trace()
 
         async def scenario():
             server = ServiceServer(SessionPolicy(max_live=1))
             server.manager = SessionManager(server.policy, str(tmp_path))
-            server._pool = ThreadPoolExecutor(max_workers=1)
             replies = Replies()
             try:
                 for name in ("victim", "other"):
@@ -365,7 +365,6 @@ class TestEvictionPressure:
                 for session in list(server.manager.live.values()):
                     if session.worker is not None:
                         session.worker.cancel()
-                server._pool.shutdown(wait=True)
 
         frames, periods = asyncio.run(scenario())
         acks = [f for f in frames if f["kind"] == "ack"]
@@ -428,6 +427,88 @@ class TestBackpressure:
             sock.close()
         finally:
             thread.stop()
+
+
+class TestLoopScheduling:
+    def test_feeds_run_on_the_loop_thread(self, monkeypatch):
+        """Learner work runs on the daemon's event-loop thread; the
+        daemon starts no feed threads."""
+        import threading
+
+        from repro.core.base import IncrementalLearner
+
+        fed_on = set()
+        original = IncrementalLearner.feed
+
+        def recording_feed(learner, period):
+            fed_on.add(threading.current_thread().name)
+            return original(learner, period)
+
+        trace = canonical_trace()
+        expected = batch_model(trace)
+        monkeypatch.setattr(IncrementalLearner, "feed", recording_feed)
+        thread = ServiceThread(SessionPolicy(max_live=2))
+        try:
+            c = ServiceClient(thread.address)
+            c.connect()
+            for i in range(3):
+                c.open_session(f"s{i}", trace_tasks(trace), bound=BOUND)
+                c.append_periods(trace.periods[:4])
+            for i in range(3):
+                c.open_session(f"s{i}", (), bound=BOUND)
+                c.append_periods(trace.periods[4:])
+                assert c.query_model() == expected
+            names = {t.name for t in threading.enumerate()}
+            c.close()
+        finally:
+            thread.stop()
+        assert fed_on == {"repro-service"}
+        assert not any(n.startswith("repro-service-feed") for n in names)
+
+    def test_sessions_take_one_op_per_turn(self, tmp_path):
+        """Ops queued on two sessions before either worker runs are
+        served round-robin, one op per session per loop turn."""
+        import asyncio
+
+        from repro.service import ops as service_ops
+        from repro.service.eviction import SessionManager
+        from repro.service.server import ServiceServer
+
+        trace = canonical_trace()
+
+        async def scenario():
+            server = ServiceServer(SessionPolicy())
+            server.manager = SessionManager(server.policy, str(tmp_path))
+            replies = Replies()
+            try:
+                for name in ("A", "B"):
+                    await server._dispatch(
+                        service_ops.open_op(name, trace.tasks, bound=BOUND),
+                        replies,
+                    )
+                    for seq in (1, 2, 3):
+                        await server._dispatch(
+                            service_ops.append_op(
+                                name, seq, trace.periods[seq - 1:seq]
+                            ),
+                            replies,
+                        )
+                assert all(
+                    s.queue.qsize() == 3 for s in server.manager.live.values()
+                )
+                for session in server.manager.live.values():
+                    await asyncio.wait_for(session.queue.join(), timeout=10.0)
+                return replies.frames
+            finally:
+                for session in list(server.manager.live.values()):
+                    if session.worker is not None:
+                        session.worker.cancel()
+
+        frames = asyncio.run(scenario())
+        acks = [(f["session"], f["seq"]) for f in frames if f["kind"] == "ack"]
+        assert acks == [
+            ("A", 1), ("B", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3)
+        ]
 
 
 class TestClientFailure:

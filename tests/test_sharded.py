@@ -245,6 +245,29 @@ class TestMergePrimitives:
         assert a.messages == 7
         assert a.candidates_max == 7
 
+    def test_counters_copy_is_an_independent_snapshot(self):
+        import dataclasses
+
+        from repro.core.instrumentation import HotLoopCounters
+
+        fields = dataclasses.fields(HotLoopCounters)
+        original = HotLoopCounters(
+            **{
+                f.name: (i + 1) * (0.5 if f.type == "float" else 1)
+                for i, f in enumerate(fields)
+            }
+        )
+        snapshot = original.copy()
+        assert type(snapshot) is HotLoopCounters
+        assert snapshot == original
+        for f in fields:
+            assert getattr(snapshot, f.name) == getattr(original, f.name)
+        before = original.as_dict()
+        for f in fields:
+            setattr(snapshot, f.name, getattr(snapshot, f.name) + 100)
+        snapshot.observe_candidates(1000)
+        assert original.as_dict() == before
+
     def test_learn_shard_runs_in_process(self):
         """The worker function itself (what the pool executes)."""
         trace = paper_figure2_trace()
