@@ -3,11 +3,10 @@
 Measures ops/sec for the three pipelines a user actually pays for —
 simulation, bounded learning, and streamed ingest — plus the reference
 (string-kernel) learner so the mask kernel's speedup factor is recorded
-alongside the absolute numbers. When numpy is importable two batch-kernel
-entries are added: ``learner_batch`` (kernel-op throughput, loop vs batch,
-replaying the extension cells recorded from a real GM learn) and
-``learner_bounded_batch`` (the batch learner end to end). Run via
-``make bench-json``::
+alongside the absolute numbers. ``learner_batch`` records the numpy bulk
+ops of ``repro.core.batch`` against their per-cell form, replaying the
+extension cells recorded from a real GM learn. Every ratio carries a
+one-line ``cause``. Run via ``make bench-json``::
 
     python benchmarks/throughput_json.py              # regenerate baseline
     python benchmarks/throughput_json.py --check      # soft regression gate
@@ -21,15 +20,15 @@ A ``service_sessions`` entry measures the asyncio session daemon
 (``repro serve``) under a storm of concurrent streaming clients: the
 single-stream floor and the aggregate periods/s across 100 concurrent
 sessions, with every per-session model asserted bit-identical to the
-batch learner before timing. The aggregate must stay at or above 100x
-the single-stream floor on gated machines (the floor is round-trip
+batch learner before timing. The clients run in a child process, so
+they do not share the daemon's GIL. The aggregate must stay at or above
+100x the single-stream floor on gated machines (the floor is round-trip
 latency the daemon is supposed to overlap).
 
 ``--check`` compares a fresh measurement against the committed baseline
 and exits non-zero if bounded-learner or store-ingest throughput dropped
-by more than 20%, if the batch kernel fell under 2x the loop kernel on
-recorded cells, if the batch learner regressed the loop learner end to
-end, if a store-backed (mmap) learn runs more than 10% slower than
+by more than 20%, if the bulk ops fell under 2x their per-cell form on
+recorded cells, if a store-backed (mmap) learn runs more than 10% slower than
 the in-memory learn (``learner_store`` parity), or if the distributed
 learn falls below 1.5x the sequential learner.
 On machines with fewer than 4 CPUs (or under ``REPRO_BENCH_SMOKE=1``) the
@@ -62,11 +61,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.workloads import gm_workload  # noqa: E402
 from repro.core import lattice  # noqa: E402
-from repro.core.batch import (  # noqa: E402
-    batch_available,
-    batch_extension_tables,
-    learn_bounded_batch,
-)
+from repro.core.batch import batch_extension_tables  # noqa: E402
+from repro.core.candidates import clear_candidate_cache  # noqa: E402
 from repro.core.heuristic import BoundedLearner, learn_bounded  # noqa: E402
 from repro.core.interning import WeightKernel  # noqa: E402
 from repro.core.reference import learn_bounded_reference  # noqa: E402
@@ -84,12 +80,12 @@ REGRESSION_TOLERANCE = 0.20
 MIN_CPUS_FOR_GATE = 4
 
 
-#: Minimum kernel-op speedup (batch over loop) that passes --check.
+#: Minimum kernel-op speedup (bulk ops over per-cell) that passes --check.
 MIN_BATCH_KERNEL_SPEEDUP = 2.0
 #: Pool bound for the recorded kernel-op workload. Larger than
 #: LEARNER_BOUND on purpose: per-message matrices are (pool x
 #: candidates), and the vectorized win is what matters at the pool
-#: sizes where the loop kernel actually hurts.
+#: sizes where per-cell evaluation actually hurts.
 BATCH_OP_BOUND = 64
 
 #: Maximum fractional slowdown of a store-backed learn over the
@@ -119,6 +115,13 @@ SERVICE_BOUND = 8
 #: round-trip latency the daemon overlaps across sessions, and a 1-CPU
 #: box serializes everything; the skip is recorded in gates_skipped.
 MIN_SERVICE_AGGREGATE_SPEEDUP = 100.0
+#: Why the service_sessions aggregate reads what it reads.
+SERVICE_CAUSE = (
+    "clients run in a child process, so the storm is bound by the "
+    "daemon's one event-loop thread, which feeds every period; one stream "
+    "already keeps that thread nearly busy, so concurrent sessions add "
+    "little"
+)
 
 
 def _best_seconds(call, repeats: int = 3) -> float:
@@ -131,22 +134,47 @@ def _best_seconds(call, repeats: int = 3) -> float:
     return best
 
 
+def _cold(learn):
+    """*learn* behind an emptied candidate memo, as a fresh process runs it.
+
+    In-memory periods are the same objects on every repeat and would hit
+    the memo; store periods are decoded afresh and would not.
+    """
+
+    def run():
+        clear_candidate_cache()
+        return learn()
+
+    return run
+
+
 def _record_kernel_workload(trace, bound: int):
     """Record the real per-message extension workload of a bounded run.
 
-    Runs the loop learner over *trace* with a recorder hook: every
-    ``(pool entries, candidate bits)`` pair the inner loop sees is
-    captured verbatim, so the kernel-op benchmark replays the exact
-    (hypothesis x candidate) cells a production learn evaluates — no
-    synthetic masks. Returns the snapshots plus a weight kernel built
-    from the run's final statistics to evaluate them under.
+    Runs the learner over *trace* with a recorder hook: every ``(pool
+    entries, candidate bits)`` pair the message step sees is captured,
+    decoded from pool keys back to ``(mask, period_mask, weight)``
+    triples in canonical bit space, so the kernel-op benchmark replays
+    the exact (hypothesis x candidate) cells a production learn
+    evaluates — no synthetic masks. Returns the snapshots plus a weight
+    kernel built from the run's final statistics to evaluate them under.
     """
     snapshots: list[tuple[list, tuple]] = []
 
     class Recorder(BoundedLearner):
-        def _process_message(self, entries, bits, history):
-            snapshots.append((list(entries), tuple(bits)))
-            return super()._process_message(entries, bits, history)
+        def _process_combined(self, keys, bits, history):
+            field = self._field
+            low = (1 << field) - 1
+            entries = [
+                (
+                    self._decode_compact(self._pool_masks[key >> field]),
+                    self._decode_compact(key & low),
+                    self._pool_weights[key >> field],
+                )
+                for key in keys
+            ]
+            snapshots.append((entries, tuple(bits)))
+            return super()._process_combined(keys, bits, history)
 
     learner = Recorder(trace.tasks, bound)
     learner.feed_trace(trace.periods)
@@ -155,7 +183,7 @@ def _record_kernel_workload(trace, bound: int):
 
 
 def _loop_extension_tables(kernel: WeightKernel, entries, bits):
-    """The loop kernel's per-cell form of ``batch_extension_tables``."""
+    """The per-cell form of ``batch_extension_tables``."""
     extension_delta = kernel.extension_delta
     feasible_rows, weight_rows = [], []
     for mask, period_mask, weight in entries:
@@ -167,12 +195,12 @@ def _loop_extension_tables(kernel: WeightKernel, entries, bits):
 
 
 def measure_kernel_ops(trace, bound: int, repeats: int) -> dict:
-    """Kernel-op throughput, loop vs batch, on recorded real cells.
+    """Kernel-op throughput, per-cell vs bulk, on recorded real cells.
 
     One op is one (hypothesis, candidate) extension cell — feasibility
-    test plus child weight — exactly what the learner's inner loop
-    evaluates per message. Both backends replay the same recorded
-    snapshots and their outputs are asserted identical before timing.
+    test plus child weight — what the learner's message step evaluates.
+    Both forms replay the same recorded snapshots and their outputs are
+    asserted identical before timing.
     """
     kernel, snapshots = _record_kernel_workload(trace, bound)
     cells = sum(len(entries) * len(bits) for entries, bits in snapshots)
@@ -182,8 +210,8 @@ def measure_kernel_ops(trace, bound: int, repeats: int) -> dict:
         actual = batch_extension_tables(kernel, entries, bits)
         if expected != actual:
             raise RuntimeError(
-                "batch kernel diverged from the loop kernel on recorded "
-                "gm extension cells; refusing to benchmark a wrong kernel"
+                "bulk extension tables diverged from the per-cell form on "
+                "recorded gm extension cells; refusing to benchmark them"
             )
 
     def run_loop():
@@ -207,6 +235,11 @@ def measure_kernel_ops(trace, bound: int, repeats: int) -> dict:
         "loop_seconds": loop_seconds,
         "loop_ops_per_second": cells / loop_seconds,
         "speedup_vs_loop": loop_seconds / batch_seconds,
+        "cause": (
+            "numpy evaluates a message's whole (pool x candidate) cell "
+            "matrix in a few vector ops, the per-cell form pays interpreter "
+            "dispatch per cell; no learner calls these ops"
+        ),
     }
 
 
@@ -297,6 +330,12 @@ def measure_distributed(learn_trace, learner_seconds: float,
             f"{DISTRIBUTED_DAEMONS} localhost repro-worker daemons (TCP)"
         ),
         "speedup_vs_sequential": learner_seconds / distributed_seconds,
+        "cause": (
+            "each shard is the same learner, but an in-memory trace ships "
+            "its pickled periods in every shard task (a store ships a "
+            "path range), and two daemons plus the coordinator share 2 "
+            "vCPUs, so transfer and hand-off outweigh the halved learn"
+        ),
         "daemons": DISTRIBUTED_DAEMONS,
         "wire": {
             "tasks_sent": counters.wire_tasks_sent,
@@ -308,84 +347,120 @@ def measure_distributed(learn_trace, learner_seconds: float,
     }
 
 
-def measure_service_sessions(smoke: bool, repeats: int) -> dict:
-    """Throughput of the asyncio session daemon under a client storm.
+def _service_trace():
+    from repro.trace.synthetic import serial_chain_trace
 
-    One in-process daemon; every client streams the same synthetic
-    trace into its own session. The per-session model is asserted
-    bit-identical to the batch learner *before* any timing: a fast
-    wrong service would be a worse benchmark than no benchmark. Two
-    figures are taken — the single-stream floor (one client, one
-    session, end to end) and the aggregate of ``SERVICE_SESSIONS``
-    concurrent sessions — and the ratio records how much of the
-    per-session round-trip latency the daemon overlaps.
+    return serial_chain_trace(3, 12)
+
+
+def service_clients(address: str, session_count: int, repeats: int) -> dict:
+    """Drive the session daemon at *address* (runs in the client process).
+
+    Returns the probe session's model, the best single-stream and storm
+    seconds, and any storm failures, as a JSON-ready dict. Every storm
+    session's model must equal the probe's.
     """
     import threading
 
+    from repro.service import ServiceClient
+
+    trace = _service_trace()
+
+    def stream_one(session_id: str) -> str:
+        client = ServiceClient(address, name=session_id)
+        client.connect()
+        client.open_session(session_id, trace.tasks, bound=SERVICE_BOUND)
+        for start in range(0, len(trace.periods), SERVICE_BATCH):
+            client.append_periods(trace.periods[start:start + SERVICE_BATCH])
+        closed = client.close_session()
+        client.close()
+        return closed["model_json"]
+
+    probe = stream_one("probe")
+    floor_seconds = _best_seconds(lambda: stream_one("floor"), repeats)
+    failures: list[str] = []
+
+    def storm() -> None:
+        def drive(index: int) -> None:
+            try:
+                if stream_one(f"storm{index}") != probe:
+                    failures.append(f"storm{index}: model diverged")
+            except Exception as error:  # noqa: BLE001 - reported below
+                failures.append(f"storm{index}: {error!r}")
+
+        drivers = [
+            threading.Thread(target=drive, args=(index,))
+            for index in range(session_count)
+        ]
+        for driver in drivers:
+            driver.start()
+        for driver in drivers:
+            driver.join()
+
+    aggregate_seconds = _best_seconds(storm, repeats)
+    return {
+        "probe_model": probe,
+        "floor_seconds": floor_seconds,
+        "aggregate_seconds": aggregate_seconds,
+        "failures": sorted(failures),
+    }
+
+
+def measure_service_sessions(smoke: bool, repeats: int) -> dict:
+    """Throughput of the asyncio session daemon under a client storm.
+
+    One in-process daemon; the clients run in a child process
+    (:func:`service_clients`), so they do not compete with the daemon
+    for its GIL. Every client streams the same synthetic trace into its
+    own session, and the probe session's model is asserted bit-identical
+    to the batch learner: a fast wrong service would be a worse
+    benchmark than no benchmark. Two figures are taken — the
+    single-stream floor (one client, one session, end to end) and the
+    aggregate of ``SERVICE_SESSIONS`` concurrent sessions — and the
+    ratio records how much of the per-session round-trip latency the
+    daemon overlaps.
+    """
+    import subprocess
+
     from repro.analysis.report import dumps_model
     from repro.core.learner import learn_dependencies
-    from repro.service import ServiceClient, ServiceThread, SessionPolicy
-    from repro.trace.synthetic import serial_chain_trace
+    from repro.service import ServiceThread, SessionPolicy
 
     session_count = 8 if smoke else SERVICE_SESSIONS
-    trace = serial_chain_trace(3, 12)
+    trace = _service_trace()
     reference = dumps_model(
         learn_dependencies(trace, bound=SERVICE_BOUND).lub()
     )
-
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(here.parent / "src"), str(here)])
     thread = ServiceThread(SessionPolicy(max_live=session_count + 8))
     try:
-        def stream_one(session_id: str) -> str:
-            client = ServiceClient(thread.address, name=session_id)
-            client.connect()
-            client.open_session(session_id, trace.tasks, bound=SERVICE_BOUND)
-            for start in range(0, len(trace.periods), SERVICE_BATCH):
-                client.append_periods(
-                    trace.periods[start:start + SERVICE_BATCH]
-                )
-            closed = client.close_session()
-            client.close()
-            return closed["model_json"]
-
-        if stream_one("probe") != reference:
-            raise RuntimeError(
-                "streamed session model diverged from the batch learner; "
-                "refusing to benchmark a wrong service"
-            )
-
-        floor_seconds = _best_seconds(
-            lambda: stream_one("floor"), repeats
+        child = subprocess.run(
+            [
+                sys.executable, "-c",
+                "import json, sys; from throughput_json import "
+                "service_clients; print(json.dumps(service_clients("
+                "sys.argv[1], int(sys.argv[2]), int(sys.argv[3]))))",
+                thread.address, str(session_count), str(repeats),
+            ],
+            env=env, capture_output=True, text=True, check=True,
         )
-        floor_pps = len(trace.periods) / floor_seconds
-
-        def storm() -> None:
-            failures: list[str] = []
-
-            def drive(index: int) -> None:
-                try:
-                    if stream_one(f"storm{index}") != reference:
-                        failures.append(f"storm{index}: model diverged")
-                except Exception as error:  # noqa: BLE001 - reported below
-                    failures.append(f"storm{index}: {error!r}")
-
-            drivers = [
-                threading.Thread(target=drive, args=(index,))
-                for index in range(session_count)
-            ]
-            for driver in drivers:
-                driver.start()
-            for driver in drivers:
-                driver.join()
-            if failures:
-                raise RuntimeError(
-                    "session storm failed: " + "; ".join(sorted(failures))
-                )
-
-        aggregate_seconds = _best_seconds(storm, repeats)
     finally:
         thread.stop()
-    total_periods = session_count * len(trace.periods)
-    aggregate_pps = total_periods / aggregate_seconds
+    outcome = json.loads(child.stdout.splitlines()[-1])
+    if outcome["probe_model"] != reference:
+        raise RuntimeError(
+            "streamed session model diverged from the batch learner; "
+            "refusing to benchmark a wrong service"
+        )
+    if outcome["failures"]:
+        raise RuntimeError(
+            "session storm failed: " + "; ".join(outcome["failures"])
+        )
+    floor_pps = len(trace.periods) / outcome["floor_seconds"]
+    aggregate_seconds = outcome["aggregate_seconds"]
+    aggregate_pps = session_count * len(trace.periods) / aggregate_seconds
     return {
         "seconds": aggregate_seconds,
         "ops_per_second": aggregate_pps,
@@ -393,17 +468,12 @@ def measure_service_sessions(smoke: bool, repeats: int) -> dict:
         "workload": (
             f"{session_count} concurrent streaming sessions x "
             f"{len(trace.periods)} periods, bound={SERVICE_BOUND}, "
-            f"one asyncio daemon (TCP)"
+            f"one asyncio daemon (TCP), clients in a child process"
         ),
         "sessions": session_count,
         "single_stream_floor_pps": floor_pps,
         "aggregate_speedup_vs_floor": aggregate_pps / floor_pps,
-        "cause": (
-            "clients, daemon and feeds share one process and one GIL, so "
-            "concurrent sessions overlap only round-trip latency, not feed "
-            "CPU; the per-period thread-pool hop, now removed, slowed the "
-            "floor and the storm alike, so its removal raised both"
-        ),
+        "cause": SERVICE_CAUSE,
     }
 
 
@@ -419,10 +489,11 @@ def measure_throughput(smoke: bool = False) -> dict:
         lambda: gm_workload.__wrapped__(periods=len(trace.periods)), repeats
     )
     learner_seconds = _best_seconds(
-        lambda: learn_bounded(learn_trace, LEARNER_BOUND), repeats
+        _cold(lambda: learn_bounded(learn_trace, LEARNER_BOUND)), repeats
     )
     reference_seconds = _best_seconds(
-        lambda: learn_bounded_reference(learn_trace, LEARNER_BOUND), repeats
+        _cold(lambda: learn_bounded_reference(learn_trace, LEARNER_BOUND)),
+        repeats,
     )
     stream_seconds = _best_seconds(
         lambda: stream_learn(io.StringIO(trace_text), bound=8), repeats
@@ -450,35 +521,10 @@ def measure_throughput(smoke: bool = False) -> dict:
                 "the gm workload; refusing to benchmark a wrong path"
             )
         store_learner_seconds = _best_seconds(
-            lambda: learn_bounded(store_trace, LEARNER_BOUND), repeats
+            _cold(lambda: learn_bounded(store_trace, LEARNER_BOUND)), repeats
         )
 
-    batch_entries: dict = {}
-    if batch_available():
-        loop_result = learn_bounded(learn_trace, LEARNER_BOUND)
-        batch_result = learn_bounded_batch(learn_trace, LEARNER_BOUND)
-        if loop_result.hypotheses != batch_result.hypotheses:
-            raise RuntimeError(
-                "batch learner diverged from the loop learner on the gm "
-                "workload; refusing to benchmark a wrong kernel"
-            )
-        batch_learner_seconds = _best_seconds(
-            lambda: learn_bounded_batch(learn_trace, LEARNER_BOUND), repeats
-        )
-        batch_entries["learner_batch"] = measure_kernel_ops(
-            learn_trace, BATCH_OP_BOUND, repeats
-        )
-        batch_entries["learner_bounded_batch"] = {
-            "seconds": batch_learner_seconds,
-            "ops_per_second": 1.0 / batch_learner_seconds,
-            "unit": "traces/s",
-            "workload": (
-                f"gm subtrace({len(learn_trace.periods)}), "
-                f"bound={LEARNER_BOUND}, batch kernel, end to end"
-            ),
-            "speedup_vs_loop": learner_seconds / batch_learner_seconds,
-        }
-
+    kernel_ops_entry = measure_kernel_ops(learn_trace, BATCH_OP_BOUND, repeats)
     distributed_entry = measure_distributed(
         learn_trace, learner_seconds, repeats
     )
@@ -501,6 +547,11 @@ def measure_throughput(smoke: bool = False) -> dict:
                     f"bound={LEARNER_BOUND}"
                 ),
                 "speedup_vs_reference": reference_seconds / learner_seconds,
+                "cause": (
+                    "interned int masks with one weight per distinct mask "
+                    "and a per-weight FIFO pool, against frozenset pair "
+                    "sets weighed one hypothesis at a time in a heap"
+                ),
             },
             "learner_reference": {
                 "seconds": reference_seconds,
@@ -538,10 +589,16 @@ def measure_throughput(smoke: bool = False) -> dict:
                 "speedup_vs_memory": (
                     learner_seconds / store_learner_seconds
                 ),
+                "cause": (
+                    "the same learner on the same periods, both timed with "
+                    "a cold candidate memo; decoding 8 periods from the "
+                    "mmap costs about 2 ms, under the noise of a best of 3 "
+                    "on a 0.05 s learn on a shared 2-vCPU host"
+                ),
             },
             "learner_distributed": distributed_entry,
             "service_sessions": service_entry,
-            **batch_entries,
+            "learner_batch": kernel_ops_entry,
         },
         "environment": {
             "python": platform.python_version(),
@@ -555,11 +612,11 @@ def measure_throughput(smoke: bool = False) -> dict:
 def check_regression(current: dict, baseline: dict) -> list[str]:
     """Gate failures (empty list = pass): learner throughput vs baseline.
 
-    Two gates: the bounded (loop) learner must stay within
-    ``REGRESSION_TOLERANCE`` of the committed baseline, and the batch
-    kernel must keep earning its existence — at least
-    ``MIN_BATCH_KERNEL_SPEEDUP`` x the loop kernel on recorded cells and
-    no end-to-end regression beyond the same tolerance.
+    The bounded learner and store ingest must stay within
+    ``REGRESSION_TOLERANCE`` of the committed baseline, and the bulk ops
+    must keep at least ``MIN_BATCH_KERNEL_SPEEDUP`` x their per-cell
+    form on recorded cells; the parity and speedup floors of the store,
+    distributed and service entries follow.
     """
     failures = []
     for key in ("learner_bounded", "ingest_store"):
@@ -589,17 +646,8 @@ def check_regression(current: dict, baseline: dict) -> list[str]:
         speedup = kernel_ops["speedup_vs_loop"]
         if speedup < MIN_BATCH_KERNEL_SPEEDUP:
             failures.append(
-                f"learner_batch: {speedup:.2f}x over the loop kernel is "
+                f"learner_batch: {speedup:.2f}x over the per-cell form is "
                 f"below the {MIN_BATCH_KERNEL_SPEEDUP:.1f}x floor"
-            )
-    end_to_end = current["benchmarks"].get("learner_bounded_batch")
-    if end_to_end is not None:
-        speedup = end_to_end["speedup_vs_loop"]
-        if speedup < 1.0 - REGRESSION_TOLERANCE:
-            failures.append(
-                f"learner_bounded_batch: {speedup:.2f}x end to end "
-                f"regresses the loop learner by more than "
-                f"{REGRESSION_TOLERANCE:.0%}"
             )
     distributed = current["benchmarks"].get("learner_distributed")
     if distributed is not None:

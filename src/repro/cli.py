@@ -123,15 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     learn.add_argument("--bound", type=int, default=None,
                        help="hypothesis bound (omit for the exact algorithm)")
     learn.add_argument("--tolerance", type=float, default=0.0)
-    learn.add_argument("--kernel", choices=("auto", "loop", "batch"),
-                       default="auto",
-                       help="mask-kernel backend of bounded learning "
-                       "(the exact algorithm has one implementation and "
-                       "ignores it): 'loop' is the classic "
-                       "per-hypothesis hot loop, 'batch' the interned-mask "
-                       "kernel (bit-for-bit identical "
-                       "output), 'auto' picks batch when numpy is "
-                       "available (default)")
     learn.add_argument("--workers", type=int, default=1,
                        help="shard-parallel learning processes (requires "
                        "--bound; the merged model is sound but may be less "
@@ -400,7 +391,6 @@ def _cmd_learn(args: argparse.Namespace, out: TextIO) -> int:
         workers=args.workers,
         scheduler=args.scheduler,
         shard_policy=policy,
-        kernel=args.kernel,
         dot=args.dot,
         graphml=args.graphml,
         model_json=args.model_json,

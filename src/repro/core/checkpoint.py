@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro.core.batch import BatchBoundedLearner
 from repro.core.exact import ExactLearner
 from repro.core.heuristic import BoundedLearner
 from repro.core.stats import CoExecutionStats
@@ -110,17 +109,12 @@ def checkpoint_to_dict(
 
 def checkpoint_from_dict(
     data: dict[str, Any],
-    kernel: str = "loop",
 ) -> BoundedLearner | ExactLearner:
     """Rebuild a learner from its checkpoint dictionary.
 
-    *kernel* selects the mask-kernel backend of a resumed bounded
-    learner (``"loop"`` or ``"batch"`` — resolve ``"auto"`` with
-    :func:`repro.core.batch.resolve_kernel` first); an exact checkpoint
-    always resumes as :class:`~repro.core.exact.ExactLearner`. The
-    checkpoint format itself is kernel-agnostic: both backends save and
-    restore byte-identical JSON, so a run may checkpoint under one
-    kernel and resume under the other.
+    A bounded checkpoint resumes as
+    :class:`~repro.core.heuristic.BoundedLearner`, an exact one as
+    :class:`~repro.core.exact.ExactLearner`.
     """
     if data.get("format") != FORMAT_NAME:
         raise LearningError(
@@ -132,10 +126,9 @@ def checkpoint_from_dict(
         )
     stats = _stats_from_dict(data["stats"])
     kind = data.get("kind")
-    bounded_cls = BatchBoundedLearner if kernel == "batch" else BoundedLearner
     learner: BoundedLearner | ExactLearner
     if kind == "bounded":
-        learner = bounded_cls(
+        learner = BoundedLearner(
             stats.tasks, int(data["bound"]), float(data["tolerance"])
         )
         learner._merges = int(data.get("merges", 0))
@@ -175,13 +168,11 @@ def save_checkpoint(
         json.dump(checkpoint_to_dict(learner), stream)
 
 
-def load_checkpoint(
-    path: str, kernel: str = "loop"
-) -> BoundedLearner | ExactLearner:
+def load_checkpoint(path: str) -> BoundedLearner | ExactLearner:
     """Rebuild a learner from the checkpoint at *path*."""
     with open(path, "r", encoding="utf-8") as stream:
         try:
             data = json.load(stream)
         except json.JSONDecodeError as error:
             raise LearningError(f"invalid checkpoint JSON: {error}") from error
-    return checkpoint_from_dict(data, kernel=kernel)
+    return checkpoint_from_dict(data)

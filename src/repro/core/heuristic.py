@@ -15,19 +15,17 @@ LUB of its output equals the bound-1 output, and Theorem 4 that on
 convergence it coincides with the exact result; both are checked
 empirically by ``repro.theory.theorems`` and experiment E4.
 
-Three implementation notes:
+Implementation notes:
 
 * The hot loop runs entirely on the interned representation of
-  :mod:`repro.core.interning`: a hypothesis in flight is a ``(mask,
-  period_mask, weight)`` triple of two ints and a number. Extension is
-  ``mask | bit``, the LUB merge is ``|``, pool dedup keys are ``(mask,
-  period_mask)`` int tuples, and every Definition 8 delta is a couple of
-  list lookups in the :class:`~repro.core.interning.WeightKernel` term
-  table. Because the table assigns pair indices in lexicographic order,
-  iterating candidate bits ascending, sorting, dict insertion and heap
-  tie-breaking all reproduce the string-kernel reference
-  (:mod:`repro.core.reference`) bit for bit — asserted by the property
-  tests.
+  :mod:`repro.core.interning`: between periods a hypothesis is a pair
+  mask with a carried weight, and every Definition 8 term is a list
+  lookup in the :class:`~repro.core.interning.WeightKernel` term table.
+  Because the table assigns pair indices in lexicographic order,
+  iterating candidate bits ascending, sorting and dict insertion
+  reproduce the string-kernel reference (:mod:`repro.core.reference`)
+  bit for bit — asserted by the property tests
+  (``tests/property/test_batch_kernel_props.py``).
 * Weights are maintained incrementally, both *within* and *across*
   periods. Within a period, extending a hypothesis by one pair changes at
   most two dependency-function entries (the pair and its mirror), so the
@@ -44,6 +42,30 @@ Three implementation notes:
   :class:`~repro.core.instrumentation.HotLoopCounters` carried on the
   result attest it (zero from-scratch refreshes on periods with no dirty
   pairs).
+* **Compact pair interning.** Real traces touch a small fraction of the
+  ``t^2`` pair bits (the gm workload: ~130 of 324). Within a period,
+  candidate bits are re-interned into a dense compact index space,
+  first-seen append-only, so in-flight masks fit one or two machine
+  words. Iteration stays in *canonical* bit order (ascending pair
+  index), so exploration order — and therefore dedup and merge order —
+  does not depend on the compact layout.
+* **Interned masks.** Under fixed statistics a weight is a pure function
+  of the pair mask, and with integer distances no sum rounds. So each
+  distinct mask of a period is kept once (``masks[i]``) with one weight,
+  and a pool key is one int, ``(i << field) | period_mask``. A child by
+  bit ``b`` is feasible iff ``period_mask & b == 0``; its mask
+  ``masks[i] | b`` is interned once per ``(i, candidate)`` and the child
+  key is ``key`` plus a per-``(i, candidate)`` constant. Merging two
+  keys of one mask is ``k1 | k2`` at the same weight; merging two masks
+  interns their union, and its O(popcount) weight delta runs only when
+  the union is new. On the GM trace the pool after a message holds a
+  single distinct mask almost every time. A distance function with
+  non-integer values is rejected with a
+  :class:`~repro.errors.LearningError`: shared weights would round.
+* **Per-weight FIFO pool.** The reference pops a heap in ``(weight,
+  sequence)`` order, where sequence numbers only grow and entries leave
+  only from the lightest end. One FIFO queue per weight plus the sorted
+  list of live weights pops exactly that order.
 * Merging must preserve a *valid per-period assignment*. A merged
   hypothesis inherits the first parent's per-period assumptions: they are
   a legal distinct assignment of the period's messages so far, and remain
@@ -53,13 +75,17 @@ Three implementation notes:
   hypothesis already assumed (so the recovery generalizes minimally).
   Both rules keep every kept hypothesis matching every processed instance,
   which is what Theorem 2 requires of the heuristic.
+* **Period end.** :meth:`BoundedLearner._finish_period` keeps one weight
+  per pair mask and drops period masks, so each distinct mask is decoded
+  back to canonical bits once and period masks are never decoded.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import numbers
 import time
+from bisect import insort
+from collections import deque
 from typing import Iterable, Sequence
 
 from repro.core import lattice
@@ -70,16 +96,13 @@ from repro.core.hypothesis import Hypothesis
 from repro.core.interning import WeightKernel
 from repro.core.result import LearningResult
 from repro.core.weights import DistanceFunction, square_distance
-from repro.errors import EmptyHypothesisSpaceError
+from repro.errors import EmptyHypothesisSpaceError, LearningError
 from repro.trace.events import MessageOccurrence
 from repro.trace.period import Period
 from repro.trace.trace import Trace
 
-#: Pool identity of an in-flight hypothesis: ``(pair mask, period mask)``.
-_PoolKey = tuple[int, int]
-
-#: One in-flight hypothesis: ``(pair mask, period mask, weight)``.
-_Entry = tuple[int, int, int]
+#: One carried hypothesis: ``(pair mask, weight)``.
+_Entry = tuple[int, int]
 
 
 class BoundedLearner(MaskedLearner):
@@ -96,7 +119,7 @@ class BoundedLearner(MaskedLearner):
     distance:
         Per-value weight contribution (paper Definition 7 by default);
         see :mod:`repro.core.weights` for alternatives and the
-        monotonicity requirement.
+        monotonicity requirement. Its values must be integers.
     incremental_weights:
         When True (the default), carried-over hypothesis weights are
         refreshed per period by dirty-pair deltas instead of from-scratch
@@ -128,11 +151,24 @@ class BoundedLearner(MaskedLearner):
         #: hypothesis weighs 0 under any statistics and distance.
         self._weights: dict[int, int] = {0: 0}
         self._merges = 0
-        self._sequence = itertools.count()
         #: Term table of the current statistics; (re)built lazily on the
         #: first absorb and maintained by dirty-index flips afterwards.
         self._kernel: WeightKernel | None = None
         self._kernel_version = -1
+        self._checked_kernel: WeightKernel | None = None
+        #: canonical bit value -> compact index (first-seen, append-only)
+        self._compact_of: dict[int, int] = {}
+        #: compact index -> canonical bit value
+        self._canonical_bit: list[int] = []
+        #: compact index -> compact index of its mirror pair (the table
+        #: size when the mirror is not interned)
+        self._mirror_compact: list[int] = []
+        self._field = 64  # period-mask field width of a pool key
+        #: The period's interned compact pair masks, their Definition 8
+        #: weights, and mask -> index (reset at every period start).
+        self._pool_masks: list[int] = []
+        self._pool_weights: list[int] = []
+        self._pool_index: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Learning (the base class owns the all-or-nothing envelope)
@@ -179,20 +215,6 @@ class BoundedLearner(MaskedLearner):
             self._kernel.unflip(dirty_indices)
             raise
 
-    @hot_loop
-    def _process_period(
-        self, period: Period, entries: list[_Entry]
-    ) -> list[_Entry]:
-        """Run the period's messages over the refreshed carried entries."""
-        history: list[tuple[int, ...]] = []
-        for message in period.messages:
-            bits = self._message_bits(period, message)
-            history.append(bits)
-            entries = self._process_message(entries, bits, history)
-            self._messages += 1
-            self._peak = max(self._peak, len(entries))
-        return entries
-
     def _message_bits(
         self, period: Period, message: MessageOccurrence
     ) -> tuple[int, ...]:
@@ -212,9 +234,7 @@ class BoundedLearner(MaskedLearner):
         # paper's Lemma (⊔D*(b) = d*(1)). The union of kept pair sets is
         # invariant under extension, merging and equality-unification —
         # redundancy deletion is the only operation that could break it.
-        by_mask: dict[int, int] = {}
-        for mask, _period_mask, weight in pending:
-            by_mask[mask] = weight
+        by_mask = dict(pending)
         self._masks = list(by_mask)
         self._decoded = None
         if self._incremental:
@@ -262,71 +282,314 @@ class BoundedLearner(MaskedLearner):
                 for index in dirty_indices:
                     weight += flip_delta(mask, index)
                 counters.weight_refresh_incremental += 1
-            entries.append((mask, 0, weight))
+            entries.append((mask, weight))
         return entries
 
+    # -- compact pair interning ----------------------------------------
+
     @hot_loop
-    def _process_message(
-        self,
-        entries: list[_Entry],
-        bits: Sequence[int],
-        history: Sequence[Sequence[int]],
-    ) -> list[_Entry]:
-        """One generalization step: extend every hypothesis, keep <= bound."""
+    def _intern_bits(self, bits: Iterable[int]) -> bool:
+        """Extend the compact table; True when the key field grew."""
+        compact_of = self._compact_of
+        for bit in bits:
+            if bit not in compact_of:
+                compact_of[bit] = len(self._canonical_bit)
+                self._canonical_bit.append(bit)
+        field = 64 * max(1, (len(self._canonical_bit) + 63) >> 6)
+        if field != self._field:
+            self._field = field
+            return True
+        return False
+
+    @hot_loop
+    def _encode_mask(self, mask: int) -> int:
+        """Canonical mask -> compact mask (bits must be interned)."""
+        compact_of = self._compact_of
+        out = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out |= 1 << compact_of[low]
+        return out
+
+    @hot_loop
+    def _decode_compact(self, compact: int) -> int:
+        """Compact mask -> canonical mask."""
+        canonical = self._canonical_bit
+        out = 0
+        while compact:
+            low = compact & -compact
+            compact ^= low
+            out |= canonical[low.bit_length() - 1]
+        return out
+
+    @hot_loop
+    def _refresh_mirrors(self) -> None:
+        """Rebuild the compact index of every compact bit's mirror pair.
+
+        Interning a pair whose mirror arrives later changes that pair's
+        mirror slot, so the table follows the compact table's size.
+        """
+        size = len(self._canonical_bit)
+        if len(self._mirror_compact) == size:
+            return
+        mirror = self.table.mirror_index
+        compact_of = self._compact_of
+        self._mirror_compact = [
+            compact_of.get(1 << mirror[bit.bit_length() - 1], size)
+            for bit in self._canonical_bit
+        ]
+
+    # -- the period's pool: interned masks, combined keys --------------
+
+    def _check_integer_terms(self) -> None:
+        """Reject a term table whose weights could round when shared."""
         kernel = self._kernel
-        assert kernel is not None
-        extension_delta = kernel.extension_delta
-        union_delta = kernel.union_delta
+        if kernel is self._checked_kernel:
+            return
+        # Interned weights are shared by every hypothesis with the same
+        # mask, which is exact only when term sums never round.
+        if not all(
+            isinstance(value, numbers.Integral)
+            for value in (*kernel._d_certain, *kernel._d_maybe)
+        ):
+            raise LearningError(
+                "the bounded learner requires an integer-valued distance "
+                "function"
+            )
+        self._checked_kernel = kernel
+
+    @hot_loop
+    def _open_pool(
+        self, entries: list[_Entry], bits: tuple[int, ...]
+    ) -> list[int]:
+        """Intern the carried masks and the first message's *bits*; the
+        carried keys start with no period bits.
+
+        The carried masks may hold bits that never crossed a candidate
+        set (checkpoint restore, shard merge), so those are interned too.
+        """
+        carried = 0
+        for mask, _weight in entries:
+            carried |= mask
+        fresh = list(bits)
+        while carried:
+            low = carried & -carried
+            carried ^= low
+            fresh.append(low)
+        self._intern_bits(fresh)
+        self._pool_masks = masks = []
+        self._pool_weights = weights = []
+        self._pool_index = index_of = {}
+        field = self._field
+        keys = []
+        for mask, weight in entries:
+            compact = self._encode_mask(mask)
+            index = index_of.get(compact)
+            if index is None:
+                index = index_of[compact] = len(masks)
+                masks.append(compact)
+                weights.append(weight)
+            keys.append(index << field)
+        return keys
+
+    @hot_loop
+    def _process_period(
+        self, period: Period, entries: list[_Entry]
+    ) -> list[_Entry]:
+        """Run the period's messages over combined keys; returns one
+        ``(mask, weight)`` entry per distinct surviving pair mask."""
+        self._check_integer_terms()
+        counters = self._counters
+        history: list[tuple[int, ...]] = []
+        keys: list[int] | None = None
+        for message in period.messages:
+            bits = self._message_bits(period, message)
+            field = self._field
+            if keys is None:
+                keys = self._open_pool(entries, bits)
+            elif self._intern_bits(bits):
+                counters.batch_relayouts += 1
+                low = (1 << field) - 1
+                keys = [
+                    ((key >> field) << self._field) | (key & low)
+                    for key in keys
+                ]
+            self._refresh_mirrors()
+            history.append(bits)
+            keys = self._process_combined(keys, bits, history)
+            self._messages += 1
+            self._peak = max(self._peak, len(keys))
+        if keys is None:
+            # Message-free period: the refreshed entries carry through.
+            return entries
+        # _finish_period keeps one weight per pair mask and drops the
+        # period masks, so each distinct mask is decoded once.
+        field = self._field
+        masks = self._pool_masks
+        weights = self._pool_weights
+        return [
+            (self._decode_compact(masks[index]), weights[index])
+            for index in dict.fromkeys(key >> field for key in keys)
+        ]
+
+    # -- the cascaded message step over combined keys ------------------
+
+    @hot_loop
+    def _process_combined(
+        self,
+        keys: list[int],
+        bits: tuple[int, ...],
+        history: Sequence[tuple[int, ...]],
+    ) -> list[int]:
+        """One generalization step on combined keys ``(index << field) |
+        period_mask``: extend every hypothesis, keep <= bound, and return
+        the keys in pool (insertion) order.
+
+        Rows are consumed in pool order and columns in canonical bit
+        order, and the pool pops the lightest weight, first in first
+        out, so insertion, dedup and merge order all match the
+        reference's heap exactly.
+        """
+        counters = self._counters
+        field = self._field
+        low = (1 << field) - 1
         bound = self.bound
-        sequence = self._sequence
-        pool: dict[_PoolKey, int] = {}
-        heap: list[tuple[int, int, _PoolKey]] = []
-        pop_lightest = self._pop_lightest
+        masks = self._pool_masks
+        weights = self._pool_weights
+        index_of = self._pool_index
+        kernel = self._kernel
+        term_f = kernel._term_f
+        term_b = kernel._term_b
+        term_fb = kernel._term_fb
+        mirror_compact = self._mirror_compact
+        mirror_index = self.table.mirror_index
+        canonical_bit = self._canonical_bit
+        columns = [1 << self._compact_of[bit] for bit in bits]
+        every = sum(columns)  # distinct: a task runs once per period
+        width = len(columns)
+        rows: dict[int, list[tuple[int, int, int]]] = {}
+        pool: dict[int, int] = {}
+        queues: dict[int, deque[int]] = {}
+        live: list[int] = []  # weights with a nonempty queue, ascending
+        merges = 0
+        children = 0
 
-        def insert(mask: int, period_mask: int, weight: int) -> None:
-            key = (mask, period_mask)
-            if key in pool:
-                return
-            pool[key] = weight
-            heapq.heappush(heap, (weight, next(sequence), key))
-            while len(pool) > bound:
-                (mask1, pmask1), weight1 = pop_lightest(pool, heap)
-                (mask2, pmask2), _weight2 = pop_lightest(pool, heap)
-                merged_key = (mask1 | mask2, pmask1 | pmask2)
-                merged_weight = weight1 + union_delta(mask1, mask2)
-                self._merges += 1
-                if merged_key not in pool:
-                    pool[merged_key] = merged_weight
-                    heapq.heappush(
-                        heap, (merged_weight, next(sequence), merged_key)
+        def union_index(index: int, other: int) -> int:
+            """Index of ``masks[index] | other``, interned on first sight
+            with an O(popcount) delta on ``weights[index]``."""
+            base = masks[index]
+            union = base | other
+            found = index_of.get(union)
+            if found is not None:
+                return found
+            acquired = union ^ base
+            delta = 0
+            remaining = acquired
+            while remaining:
+                bit = remaining & -remaining
+                remaining ^= bit
+                i = bit.bit_length() - 1
+                mi = mirror_compact[i]
+                term = canonical_bit[i].bit_length() - 1
+                mirror = mirror_index[term]
+                if (acquired >> mi) & 1:  # pair and mirror both new
+                    delta += term_fb[term]
+                elif (base >> mi) & 1:  # both ordered terms turn mutual
+                    delta += (
+                        term_fb[term] - term_b[term]
+                        + term_fb[mirror] - term_f[mirror]
                     )
+                else:
+                    delta += term_f[term] + term_b[mirror]
+            found = index_of[union] = len(masks)
+            masks.append(union)
+            weights.append(weights[index] + delta)
+            return found
 
-        for mask, period_mask, weight in entries:
-            feasible = [bit for bit in bits if not period_mask & bit]
-            if feasible:
-                for bit in feasible:
-                    insert(
-                        mask | bit,
-                        period_mask | bit,
-                        weight + extension_delta(mask, bit),
-                    )
-            else:
+        def insert(key: int, weight: int) -> None:
+            """Add a key known to be new, then merge down to the bound."""
+            nonlocal merges
+            while True:
+                pool[key] = weight
+                queue = queues.get(weight)
+                if queue is None:
+                    queues[weight] = deque((key,))
+                    insort(live, weight)
+                else:
+                    queue.append(key)
+                if len(pool) <= bound:
+                    return
+                # Pop the two lightest keys, first in first out.
+                weight = live[0]
+                queue = queues[weight]
+                first = queue.popleft()
+                if not queue:
+                    del queues[weight]
+                    del live[0]
+                    queue = queues[live[0]]
+                second = queue.popleft()
+                if not queue:
+                    del queues[live[0]]
+                    del live[0]
+                del pool[first]
+                del pool[second]
+                merges += 1
+                key = first | second
+                if (first ^ second) > low:  # two masks: intern their union
+                    index = union_index(first >> field, masks[second >> field])
+                    weight = weights[index]
+                    key = (index << field) | (key & low)
+                if key in pool:
+                    return
+
+        for key in keys:
+            index = key >> field
+            taken = key & every
+            if taken == every:
                 # Merged-lineage corner case: the inherited assignment
                 # claims every candidate of this message. Recompute a
-                # legal assignment for the whole period so far.
-                repaired = self._reassign_period(mask, history)
-                self._counters.reassignments += 1
+                # legal assignment for the whole period so far. The
+                # repair runs in canonical space: the backtracking sorts
+                # candidate *bit values*, and compact values would
+                # explore a different order.
+                repaired = self._reassign_period(
+                    self._decode_compact(masks[index]), history
+                )
+                counters.reassignments += 1
                 if repaired is not None:
                     repaired_mask, repaired_period = repaired
-                    self._counters.weight_scratch_calls += 1
-                    insert(
-                        repaired_mask,
-                        repaired_period,
-                        kernel.set_weight(repaired_mask),
-                    )
+                    counters.weight_scratch_calls += 1
+                    weight = kernel.set_weight(repaired_mask)
+                    compact = self._encode_mask(repaired_mask)
+                    found = index_of.get(compact)
+                    if found is None:
+                        found = index_of[compact] = len(masks)
+                        masks.append(compact)
+                        weights.append(weight)
+                    key = (found << field) | self._encode_mask(repaired_period)
+                    if key not in pool:
+                        insert(key, weight)
+                continue
+            children += width - taken.bit_count()
+            row = rows.get(index)
+            if row is None:
+                # A child by bit b has mask masks[index] | b and key
+                # key - (index << field) + (child << field) + b.
+                row = rows[index] = []
+                for bit in columns:
+                    child = union_index(index, bit)
+                    row.append((bit, ((child - index) << field) + bit, weights[child]))
+            for bit, offset, weight in row:
+                if not taken & bit:
+                    child_key = key + offset
+                    if child_key not in pool:
+                        insert(child_key, weight)
+        self._merges += merges
+        counters.batch_children += children
         if not pool:
             raise EmptyHypothesisSpaceError(self._periods)
-        return [(mask, pmask, weight) for (mask, pmask), weight in pool.items()]
+        return list(pool)
 
     @staticmethod
     @hot_loop
@@ -377,19 +640,6 @@ class BoundedLearner(MaskedLearner):
         for bit in history[-1]:
             current |= bit
         return mask | used | current, used
-
-    @staticmethod
-    @hot_loop
-    def _pop_lightest(
-        pool: dict[_PoolKey, int],
-        heap: list[tuple[int, int, _PoolKey]],
-    ) -> tuple[_PoolKey, int]:
-        """Pop the least-weight live entry (heap entries are lazily stale)."""
-        while True:
-            _weight, _seq, key = heapq.heappop(heap)
-            weight = pool.pop(key, None)
-            if weight is not None:
-                return key, weight
 
     # ------------------------------------------------------------------
     # Results

@@ -93,16 +93,13 @@ class HotLoopCounters:
         them (collateral, not charged as retries).
     degraded_shards:
         Shards learned by the in-process sequential fallback.
-    batch_messages:
-        Messages whose child generation ran through the batch kernel's
-        interned-mask message step (:mod:`repro.core.batch`).
     batch_children:
-        Child hypotheses produced by those steps (feasible
-        hypothesis × candidate cells).
+        Child hypotheses the bounded learner's message step produced
+        (feasible hypothesis × candidate cells).
     batch_relayouts:
-        Pool-key layout growths — mid-period re-encodes of the
-        in-flight pool after the interned pair set crossed a word
-        boundary.
+        Pool-key layout growths — mid-period re-encodes of the bounded
+        learner's in-flight pool after its compact pair set crossed a
+        word boundary.
     wire_tasks_sent:
         Shard tasks framed and dispatched to remote workers by the TCP
         coordinator (:mod:`repro.distributed`), counting re-dispatches.
@@ -182,7 +179,6 @@ class HotLoopCounters:
     pool_rebuilds: int = 0
     pool_requeues: int = 0
     degraded_shards: int = 0
-    batch_messages: int = 0
     batch_children: int = 0
     batch_relayouts: int = 0
     wire_tasks_sent: int = 0
@@ -284,9 +280,8 @@ class HotLoopCounters:
             ("pool rebuilds", self.pool_rebuilds),
             ("pool requeues (collateral)", self.pool_requeues),
             ("degraded shards (in-process)", self.degraded_shards),
-            ("batch-kernel messages", self.batch_messages),
-            ("batch-kernel children (bulk)", self.batch_children),
-            ("batch-kernel mask relayouts", self.batch_relayouts),
+            ("message-step children", self.batch_children),
+            ("pool-key relayouts", self.batch_relayouts),
             ("wire tasks sent", self.wire_tasks_sent),
             ("wire results received", self.wire_results),
             ("wire bytes sent", self.wire_bytes_sent),

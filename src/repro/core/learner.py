@@ -15,11 +15,6 @@ trace and optionally a hypothesis bound, get back a
 
 from __future__ import annotations
 
-from repro.core.batch import (
-    BatchBoundedLearner,
-    learn_bounded_batch,
-    resolve_kernel,
-)
 from repro.core.exact import ExactLearner, learn_exact
 from repro.core.heuristic import BoundedLearner, learn_bounded
 from repro.core.result import LearningResult
@@ -35,7 +30,6 @@ def learn_dependencies(
     max_hypotheses: int = 2_000_000,
     workers: int = 1,
     shard_policy: ShardPolicy | None = None,
-    kernel: str = "auto",
     executor_factory: "ShardExecutorFactory | None" = None,
 ) -> LearningResult:
     """Learn the most-specific dependency hypotheses from *trace*.
@@ -64,14 +58,6 @@ def learn_dependencies(
         shard splitting, degradation to sequential learning); ``None``
         uses :class:`~repro.core.shardexec.ShardPolicy`'s defaults.
         Ignored when ``workers=1``.
-    kernel:
-        Mask-kernel backend of the bounded heuristic: ``"loop"``
-        (per-hypothesis hot loop), ``"batch"`` (interned-mask
-        kernel, :mod:`repro.core.batch`), or ``"auto"``
-        (the default — batch when numpy is importable). The backends
-        learn bit-for-bit identical models; the choice is purely a
-        throughput knob. Exact learning (``bound=None``) always runs
-        :class:`~repro.core.exact.ExactLearner`.
     executor_factory:
         Execution substrate for the sharded path (``workers > 1``):
         ``None`` uses local process pools; a
@@ -85,16 +71,13 @@ def learn_dependencies(
         Surviving hypotheses, their LUB, and run metadata.
     """
     require_shardable(bound, workers)
-    resolved = resolve_kernel(kernel)
     if bound is None:
         return learn_exact(trace, tolerance, max_hypotheses)
     if workers > 1:
         return learn_bounded_sharded(
             trace, bound, tolerance, workers, policy=shard_policy,
-            kernel=resolved, executor_factory=executor_factory,
+            executor_factory=executor_factory,
         )
-    if resolved == "batch":
-        return learn_bounded_batch(trace, bound, tolerance)
     return learn_bounded(trace, bound, tolerance)
 
 
@@ -102,14 +85,10 @@ def make_learner(
     tasks,
     bound: int | None = None,
     tolerance: float = 0.0,
-    kernel: str = "auto",
 ) -> ExactLearner | BoundedLearner:
     """An incremental learner for online use (feed periods as they arrive)."""
-    resolved = resolve_kernel(kernel)
     if bound is None:
         return ExactLearner(tasks, tolerance)
-    if resolved == "batch":
-        return BatchBoundedLearner(tasks, bound, tolerance)
     return BoundedLearner(tasks, bound, tolerance)
 
 
@@ -119,10 +98,7 @@ __all__ = [
     "LearningResult",
     "ExactLearner",
     "BoundedLearner",
-    "BatchBoundedLearner",
     "learn_exact",
     "learn_bounded",
-    "learn_bounded_batch",
     "learn_bounded_sharded",
-    "resolve_kernel",
 ]

@@ -9,10 +9,13 @@ A dependency function (hypothesis) matches a period instance when
    assigned a temporally possible sender-receiver pair allowed by the
    hypothesis, with at most one message per ordered pair in the period.
 
-Condition 2 is a system of distinctness constraints, solved here by
-backtracking with most-constrained-message-first ordering; periods are
-small (tens of messages), so this is fast in practice even though the
-general problem is NP-hard (paper Theorem 1).
+Condition 2 asks for a matching of the period's messages into distinct
+allowed pairs: bipartite matching, solvable in polynomial time. It is
+solved here by backtracking with most-constrained-message-first
+ordering, which is fast on the small periods of real traces (tens of
+messages). The NP-hardness of paper Theorem 1 concerns *learning*, that
+is finding the set of most-specific hypotheses, not checking one
+hypothesis against one period.
 """
 
 from __future__ import annotations

@@ -49,12 +49,6 @@ class LearningResult:
         Number of parallel shards the trace was learned over (1 for the
         sequential learners). A ``workers > 1`` result is the sound LUB
         merge of per-shard bounded runs — see :mod:`repro.core.sharded`.
-    kernel:
-        Which mask-kernel backend produced the result: ``"loop"`` (the
-        per-hypothesis interned-bitmask hot loop) or ``"batch"`` (the
-        interned-mask kernel of :mod:`repro.core.batch`).
-        The two are bit-for-bit identical in output; the field is run
-        metadata for profiles and benchmarks.
     hot_loop:
         Hot-loop instrumentation snapshot
         (:class:`~repro.core.instrumentation.HotLoopCounters`): dirty-pair
@@ -74,7 +68,6 @@ class LearningResult:
     elapsed_seconds: float = 0.0
     merge_count: int = field(default=0)
     workers: int = 1
-    kernel: str = "loop"
     hot_loop: HotLoopCounters | None = None
 
     @property

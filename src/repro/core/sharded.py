@@ -131,15 +131,9 @@ def learn_shard(
     periods: Sequence[Period],
     bound: int,
     tolerance: float,
-    kernel: str = "loop",
 ) -> ShardOutcome:
     """Run one shard's bounded learner (executed in a worker process)."""
-    if kernel == "batch":
-        from repro.core.batch import BatchBoundedLearner
-
-        learner: BoundedLearner = BatchBoundedLearner(tasks, bound, tolerance)
-    else:
-        learner = BoundedLearner(tasks, bound, tolerance)
+    learner = BoundedLearner(tasks, bound, tolerance)
     learner.feed_trace(periods)
     union = 0
     for mask in learner._masks:
@@ -180,19 +174,6 @@ def _learn_shard_fallback(args: tuple) -> ShardOutcome:
     """
     tasks, periods, bound, tolerance = args
     return learn_shard(tasks, periods, bound, tolerance)
-
-
-def _learn_shard_args_batch(args: tuple) -> ShardOutcome:
-    """Batch-kernel twin of :func:`_learn_shard_args` (same tuple shape)."""
-    tasks, periods, bound, tolerance, index, attempt = args
-    apply_chaos(index, attempt)
-    return learn_shard(tasks, periods, bound, tolerance, kernel="batch")
-
-
-def _learn_shard_fallback_batch(args: tuple) -> ShardOutcome:
-    """Batch-kernel twin of :func:`_learn_shard_fallback`."""
-    tasks, periods, bound, tolerance = args
-    return learn_shard(tasks, periods, bound, tolerance, kernel="batch")
 
 
 # Boundary code: decodes the merged LUB mask back to string pairs.
@@ -244,7 +225,6 @@ def learn_bounded_sharded(
     tolerance: float = 0.0,
     workers: int = 2,
     policy: ShardPolicy | None = None,
-    kernel: str = "loop",
     executor_factory: "ShardExecutorFactory | None" = None,
 ) -> LearningResult:
     """Learn *trace* across *workers* period shards and LUB-merge.
@@ -268,11 +248,6 @@ def learn_bounded_sharded(
     (retries, splits, pool rebuilds, degraded shards) are folded into
     the returned result's ``hot_loop`` counters.
 
-    *kernel* selects the mask-kernel backend every worker runs
-    (``"loop"`` or ``"batch"`` — resolve ``"auto"`` with
-    :func:`repro.core.batch.resolve_kernel` before calling): the two are
-    bit-for-bit identical per shard, so the merged LUB is too.
-
     *executor_factory* plugs a different execution substrate into the
     runtime (see :class:`~repro.core.shardexec.ShardExecutorFactory`);
     ``None`` keeps the local process pool. The distributed scheduler
@@ -291,21 +266,18 @@ def learn_bounded_sharded(
     if len(shards) <= 1:
         # One shard (or an empty trace): the pool would only add overhead.
         outcomes = [
-            learn_shard(trace.tasks, shard, bound, tolerance, kernel=kernel)
+            learn_shard(trace.tasks, shard, bound, tolerance)
             for shard in shards
         ]
     else:
-        batch = kernel == "batch"
         runtime = ShardRuntime(
             trace.tasks,
             bound,
             tolerance,
             workers=len(shards),
             policy=policy,
-            worker=_learn_shard_args_batch if batch else _learn_shard_args,
-            fallback=(
-                _learn_shard_fallback_batch if batch else _learn_shard_fallback
-            ),
+            worker=_learn_shard_args,
+            fallback=_learn_shard_fallback,
             executor_factory=executor_factory,
         )
         outcomes = runtime.run(shards)
@@ -316,7 +288,6 @@ def learn_bounded_sharded(
         workers,
         time.perf_counter() - started,
     )
-    result.kernel = kernel
     if runtime is not None and result.hot_loop is not None:
         result.hot_loop.merge(runtime.counters)
     return result

@@ -16,11 +16,11 @@ Outside ``repro.core`` (and ``repro.devtools`` itself) the rule flags:
 * touching mask internals: the ``.mask`` / ``.pairs_mask`` attributes
   or the ``pair_bit`` / ``pair_index`` / ``mask_of`` / ``bits_of`` /
   ``indices_of`` / ``iter_indices`` / ``mirror_mask`` accessors;
-* the batch kernel's bulk mask operations (``pack_masks``,
-  ``batch_set_weights``, …) — the array-of-masks layout of
-  :mod:`repro.core.batch` is as internal as the bitmask ints it packs.
-  Select the backend through the string registry instead
-  (``learn_dependencies(..., kernel="batch")``).
+* the bulk mask operations of :mod:`repro.core.batch` (``pack_masks``,
+  ``batch_set_weights``, …) — its array-of-masks layout is as internal
+  as the bitmask ints it packs. Code outside the core learns through
+  :func:`~repro.core.learner.learn_dependencies` or
+  :func:`~repro.core.learner.make_learner` instead.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ KERNEL_MODULE = "repro.core.interning"
 #: Class names that are kernel-internal.
 KERNEL_NAMES = frozenset({"PairSet", "TaskTable", "WeightKernel"})
 
-#: Bulk mask operations of the batch kernel (repro.core.batch): the
-#: packed uint64 mask-column layout must not leak past the boundary.
+#: Bulk mask operations of repro.core.batch: the packed uint64
+#: mask-column layout must not leak past the boundary.
 BATCH_KERNEL_NAMES = frozenset(
     {
         "pack_masks",
@@ -114,9 +114,9 @@ class BoundaryRule(Rule):
                 yield ctx.finding(
                     self,
                     node,
-                    f"'{node.id}' is a batch-kernel bulk op; select the "
-                    "backend via the kernel registry "
-                    "(learn_dependencies(..., kernel=...)) instead",
+                    f"'{node.id}' is a bulk mask op of repro.core.batch; "
+                    "outside repro.core, learn through learn_dependencies "
+                    "or make_learner instead",
                 )
             elif isinstance(node, ast.Attribute):
                 if node.attr in KERNEL_ATTRIBUTES:

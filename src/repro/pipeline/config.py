@@ -62,13 +62,6 @@ class PipelineConfig:
         map onto this field.
     max_hypotheses:
         Safety cap for the exact algorithm.
-    kernel:
-        Mask-kernel backend of bounded learning: ``"loop"``,
-        ``"batch"``, or ``"auto"`` (the default — batch when numpy is
-        importable; see :func:`repro.core.batch.resolve_kernel`). The
-        backends learn bit-for-bit identical models; exact learning has
-        one implementation. The CLI's ``--kernel`` flag maps onto this
-        field.
     analyze_modes / analyze_curve:
         Run the analysis stage's mode extraction / learning-curve parts.
     curve_bound:
@@ -98,7 +91,6 @@ class PipelineConfig:
     scheduler: str | None = None
     shard_policy: ShardPolicy | None = None
     max_hypotheses: int = 2_000_000
-    kernel: str = "auto"
     analyze_modes: bool = False
     analyze_curve: bool = False
     curve_bound: int = 16
@@ -117,7 +109,6 @@ class PipelineConfig:
         format: str | None = None,
         bound: int | None = None,
         tolerance: float = 0.0,
-        kernel: str = "auto",
     ) -> "PipelineConfig":
         """Session-mode configuration for the streaming service.
 
@@ -136,7 +127,6 @@ class PipelineConfig:
             learn=True,
             bound=bound,
             tolerance=tolerance,
-            kernel=kernel,
         )
 
     def report_outputs(self) -> list[tuple[str, str]]:

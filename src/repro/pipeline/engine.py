@@ -122,7 +122,6 @@ class PipelineRun:
                 "algorithm": getattr(result, "algorithm", None),
                 "bound": getattr(result, "bound", None),
                 "workers": getattr(result, "workers", 1),
-                "kernel": getattr(result, "kernel", "loop"),
                 "periods": getattr(result, "periods", None),
                 "messages": getattr(result, "messages", None),
                 "peak_hypotheses": getattr(result, "peak_hypotheses", None),
@@ -237,7 +236,6 @@ class LearnPipeline:
                 max_hypotheses=config.max_hypotheses,
                 workers=config.workers,
                 shard_policy=config.shard_policy,
-                kernel=config.kernel,
                 executor_factory=factory,
             )
         finally:

@@ -130,7 +130,6 @@ class ServiceClient:
         *,
         bound: int | None = None,
         tolerance: float = 0.0,
-        kernel: str = "auto",
         format: str | None = None,
     ) -> dict:
         """Open (create, attach, or resume) a session; returns ``opened``."""
@@ -139,7 +138,6 @@ class ServiceClient:
             tasks,
             bound=bound,
             tolerance=tolerance,
-            kernel=kernel,
             format=format,
         )
         opened = self._rpc(message, "opened")
@@ -254,7 +252,6 @@ class ServiceClient:
         format: str | None = None,
         bound: int | None = None,
         tolerance: float = 0.0,
-        kernel: str = "auto",
         batch: int = DEFAULT_BATCH,
     ) -> dict:
         """Open a session for *path* and stream its periods in batches.
@@ -272,7 +269,6 @@ class ServiceClient:
                 tasks,
                 bound=bound,
                 tolerance=tolerance,
-                kernel=kernel,
                 format=format,
             )
             pending = []

@@ -10,7 +10,7 @@ so the bound is soft under pressure spikes and re-establishes itself
 as queues drain.
 
 Eviction is a checkpoint, not a loss: the victim's spool file carries
-the kernel-agnostic learner checkpoint plus the session's ledger and
+the learner checkpoint plus the session's ledger and
 buffered events, and the next ``open`` of that session id resumes it
 transparently. A ``close`` deletes the spool; a daemon restart with
 the same spool directory can resume every evicted session.

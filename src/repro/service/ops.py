@@ -54,7 +54,6 @@ def open_op(
     *,
     bound: int | None = None,
     tolerance: float = 0.0,
-    kernel: str = "auto",
     format: str | None = None,
 ) -> dict:
     return {
@@ -63,7 +62,6 @@ def open_op(
         "tasks": tuple(tasks),
         "bound": bound,
         "tolerance": tolerance,
-        "kernel": kernel,
         "format": format,
     }
 

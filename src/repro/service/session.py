@@ -9,7 +9,7 @@ session flows through — appends, queries, eviction, close — which is
 what serializes learner access and carries backpressure to the socket.
 
 Sessions round-trip through the *spool*: a JSON file holding the
-kernel-agnostic learner checkpoint (:mod:`repro.core.checkpoint`) plus
+learner checkpoint (:mod:`repro.core.checkpoint`) plus
 the session-level state the checkpoint does not know about — the
 settings, the sequence ledger, buffered partial-period events, and the
 service counters. Eviction writes it, a later ``open`` of the same
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.core.batch import resolve_kernel
 from repro.core.checkpoint import checkpoint_from_dict, checkpoint_to_dict
 from repro.core.instrumentation import HotLoopCounters
 from repro.core.learner import make_learner
@@ -37,22 +36,24 @@ SPOOL_VERSION = 1
 
 
 class SessionSettings:
-    """The learner-shaping half of an ``open`` op, hashable and spoolable."""
+    """The learner-shaping half of an ``open`` op, hashable and spoolable.
 
-    __slots__ = ("tasks", "bound", "tolerance", "kernel", "format")
+    Settings written by older versions (spool files, ``open`` ops) may
+    carry a ``"kernel"`` key; it is ignored.
+    """
+
+    __slots__ = ("tasks", "bound", "tolerance", "format")
 
     def __init__(
         self,
         tasks: tuple[str, ...],
         bound: int | None = None,
         tolerance: float = 0.0,
-        kernel: str = "auto",
         format: str | None = None,
     ) -> None:
         self.tasks = tuple(tasks)
         self.bound = bound
         self.tolerance = tolerance
-        self.kernel = kernel
         self.format = format
 
     @classmethod
@@ -64,7 +65,6 @@ class SessionSettings:
             tasks=tuple(tasks),
             bound=message.get("bound"),
             tolerance=float(message.get("tolerance", 0.0)),
-            kernel=message.get("kernel", "auto"),
             format=message.get("format"),
         )
 
@@ -74,21 +74,17 @@ class SessionSettings:
             format=self.format,
             bound=self.bound,
             tolerance=self.tolerance,
-            kernel=self.kernel,
         )
 
     def make_learner(self):
         config = self.pipeline_config()
-        return make_learner(
-            self.tasks, config.bound, config.tolerance, config.kernel
-        )
+        return make_learner(self.tasks, config.bound, config.tolerance)
 
     def to_dict(self) -> dict:
         return {
             "tasks": list(self.tasks),
             "bound": self.bound,
             "tolerance": self.tolerance,
-            "kernel": self.kernel,
             "format": self.format,
         }
 
@@ -98,7 +94,6 @@ class SessionSettings:
             tasks=tuple(data["tasks"]),
             bound=data["bound"],
             tolerance=data["tolerance"],
-            kernel=data["kernel"],
             format=data.get("format"),
         )
 
@@ -125,9 +120,6 @@ class Session:
         self.settings = settings
         self.policy = policy
         self.learner = learner if learner is not None else settings.make_learner()
-        #: The concrete kernel backing the learner; checkpoint resume
-        #: needs the resolved name, not ``"auto"``.
-        self.resolved_kernel = resolve_kernel(settings.kernel)
         #: Highest admitted append sequence number (the ledger).
         self.last_seq = 0
         #: Events buffered by ``events`` ops until an ``end_period``.
@@ -182,7 +174,6 @@ class Session:
                 "algorithm": "exact" if self.settings.bound is None else "heuristic",
                 "bound": self.settings.bound,
                 "workers": 1,
-                "kernel": self.resolved_kernel,
                 "periods": learner._periods,
                 "messages": learner._messages,
                 "peak_hypotheses": learner._peak,
@@ -230,9 +221,7 @@ class Session:
                 f"unsupported spool version {data.get('version')!r}"
             )
         settings = SessionSettings.from_dict(data["settings"])
-        learner = checkpoint_from_dict(
-            data["checkpoint"], kernel=resolve_kernel(settings.kernel)
-        )
+        learner = checkpoint_from_dict(data["checkpoint"])
         session = cls(data["session"], settings, policy, learner=learner)
         session.last_seq = int(data["last_seq"])
         session.resumed = int(data.get("resumed", 0)) + 1

@@ -89,6 +89,15 @@ def _tobytes_le(buffer: array) -> bytes:
     return swapped.tobytes()  # pragma: no cover - BE host
 
 
+def _fsync_directory(path: str) -> None:
+    """Flush a directory entry change (a rename into *path*) to disk."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_DIRECTORY", 0))
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class TraceStoreWriter:
     """Stream periods into a ``.rts`` store in bounded memory.
 
@@ -225,7 +234,11 @@ class TraceStoreWriter:
                     out.write(chunk)
                     written += len(chunk)
                 out.write(b"\0" * (_align8(written) - written))
+            # The rename must not reach the disk before the bytes do.
+            out.flush()
+            os.fsync(out.fileno())
         os.replace(tmp_path, self._path)
+        _fsync_directory(os.path.dirname(os.path.abspath(self._path)))
         self._finalized = True
         self._cleanup()
         return open_store(self._path)

@@ -131,7 +131,6 @@ def stream_learn(
     bound: int | None = None,
     tolerance: float = 0.0,
     format: str | None = None,
-    kernel: str = "auto",
 ):
     """One-call streamed learning from a trace stream or file path.
 
@@ -144,11 +143,6 @@ def stream_learn(
     largest single period); formats without a streamer — CSV and JSON
     must be parsed whole — fall back to a batch load and then feed
     incrementally, so the learner-side behavior is identical either way.
-
-    *kernel* selects the mask-kernel backend exactly as
-    :func:`~repro.core.learner.make_learner` does (``"auto"`` — the
-    default — picks the batch kernel when numpy is
-    available); the backends learn bit-for-bit identical models.
 
     A feed that raises mid-stream leaves the learner untouched (the
     all-or-nothing ``feed`` contract) *and* closes the suspended period
@@ -168,9 +162,7 @@ def stream_learn(
         tasks, periods = get_format(
             format if format is not None else "text"
         ).stream_periods(source)
-    learner = make_learner(
-        tasks, bound=bound, tolerance=tolerance, kernel=kernel
-    )
+    learner = make_learner(tasks, bound=bound, tolerance=tolerance)
     try:
         for period in periods:
             learner.feed(period)

@@ -49,6 +49,42 @@ class TestRoundTrip:
             continuous.result().functions
         )
 
+    def test_parent_era_bounded_checkpoint_resumes(self):
+        """A bounded checkpoint written while two bounded learners
+        existed has the same keys as today's (it never held a kernel
+        tag) and resumes to the uninterrupted result."""
+        parent_era = {
+            "format": "repro-learner-checkpoint", "version": 1,
+            "kind": "bounded", "tolerance": 0.0,
+            "stats": {
+                "tasks": ["t1", "t2", "t3", "t4"], "periods": 1,
+                "version": 1,
+                "executions": {"t1": 1, "t2": 1, "t3": 0, "t4": 1},
+                "exclusive": [["t1", "t3", 1], ["t2", "t3", 1],
+                              ["t4", "t3", 1]],
+            },
+            "hypotheses": [
+                [["t1", "t2"], ["t1", "t4"]],
+                [["t1", "t2"], ["t2", "t4"]],
+                [["t1", "t4"], ["t2", "t4"]],
+            ],
+            "periods": 1, "messages": 2, "peak": 3, "elapsed": 0.0,
+            "bound": 4, "merges": 0,
+        }
+        trace = paper_figure2_trace()
+        first = BoundedLearner(trace.tasks, bound=4)
+        first.feed(trace[0])
+        saved = checkpoint_to_dict(first)
+        assert set(saved) == set(parent_era)
+        saved["elapsed"] = 0.0
+        assert saved == parent_era
+        resumed = checkpoint_from_dict(parent_era)
+        resumed.feed_trace(trace.periods[1:])
+        continuous = BoundedLearner(trace.tasks, bound=4)
+        continuous.feed_trace(trace)
+        assert resumed.result().hypotheses == continuous.result().hypotheses
+        assert resumed.result().merge_count == continuous.result().merge_count
+
     def test_counters_preserved(self, tmp_path):
         trace = paper_figure2_trace()
         learner = BoundedLearner(trace.tasks, bound=2)

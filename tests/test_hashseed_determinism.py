@@ -36,11 +36,9 @@ def mask_elapsed(payload: bytes) -> bytes:
     return ELAPSED.sub(b"<elapsed> s", payload)
 
 
-def run_learn(
-    workdir: Path, hash_seed: str, kernel: str = "auto"
-) -> dict[str, bytes]:
+def run_learn(workdir: Path, hash_seed: str) -> dict[str, bytes]:
     """Simulate + learn under one PYTHONHASHSEED; return artifact bytes."""
-    outdir = workdir / f"seed{hash_seed}-{kernel}"
+    outdir = workdir / f"seed{hash_seed}"
     outdir.mkdir()
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
@@ -55,7 +53,7 @@ def run_learn(
         check=True, env=env, capture_output=True,
     )
     learn = subprocess.run(
-        [*common, "learn", str(trace), "--bound", "16", "--kernel", kernel,
+        [*common, "learn", str(trace), "--bound", "16",
          "--model-json", str(model), "--report", str(report)],
         check=True, env=env, capture_output=True,
     )
@@ -126,21 +124,19 @@ def test_artifacts_identical_across_hash_seeds(tmp_path):
 
 
 def test_kernels_identical_across_hash_seeds(tmp_path):
-    """Loop and batch kernels write byte-identical artifacts, and each
-    kernel is itself hash-seed independent: every (seed, kernel) cell of
-    the grid must match the loop-kernel baseline byte for byte."""
-    baseline = run_learn(tmp_path, SEEDS[0], kernel="loop")
-    for seed in SEEDS[:2]:
-        for kernel in ("loop", "batch"):
-            if seed == SEEDS[0] and kernel == "loop":
-                continue
-            other = run_learn(tmp_path, seed, kernel=kernel)
-            for name, payload in baseline.items():
-                assert other[name] == payload, (
-                    f"{name} differs between kernel=loop/"
-                    f"PYTHONHASHSEED={SEEDS[0]} and kernel={kernel}/"
-                    f"PYTHONHASHSEED={seed}"
-                )
+    """Under every hash seed, the CLI's model JSON is byte-identical to
+    the string-kernel reference learner's model of the same trace."""
+    from repro.analysis.report import dumps_model
+    from repro.core.reference import learn_bounded_reference
+    from repro.trace.textio import loads_trace
+
+    for seed in SEEDS:
+        artifacts = run_learn(tmp_path, seed)
+        trace = loads_trace(artifacts["trace"].decode())
+        expected = dumps_model(learn_bounded_reference(trace, 16).lub())
+        assert artifacts["model"] == expected.encode(), (
+            f"model differs from the reference under PYTHONHASHSEED={seed}"
+        )
 
 
 def run_learn_store(workdir: Path, hash_seed: str) -> dict[str, bytes]:

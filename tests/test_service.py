@@ -152,6 +152,63 @@ class TestSpoolNaming:
         )
 
 
+class TestOlderVersionKeys:
+    """Spool files and ``open`` ops written while two bounded learners
+    existed carry a ``"kernel"`` key; it is ignored."""
+
+    def test_parent_era_spool_with_kernel_key_resumes(self, tmp_path):
+        from repro.core.checkpoint import checkpoint_to_dict
+        from repro.core.heuristic import BoundedLearner
+
+        spool = tmp_path / "spool"
+        spool.mkdir()
+        trace = canonical_trace()
+        learner = BoundedLearner(trace.tasks, BOUND)
+        learner.feed_trace(trace.periods[:3])
+        parent_era = {
+            "format": SPOOL_FORMAT,
+            "version": 1,
+            "session": "old",
+            "settings": {
+                "tasks": list(trace.tasks),
+                "bound": BOUND,
+                "tolerance": 0.0,
+                "kernel": "batch",
+                "format": None,
+            },
+            "last_seq": 1,
+            "resumed": 0,
+            "pending_events": [],
+            "checkpoint": checkpoint_to_dict(learner),
+        }
+        (spool / spool_filename("old")).write_text(json.dumps(parent_era))
+        settings = SessionSettings.from_dict(parent_era["settings"])
+        assert "kernel" not in settings.to_dict()
+        thread = ServiceThread(SessionPolicy(spool_dir=str(spool)))
+        try:
+            c = ServiceClient(thread.address)
+            c.connect()
+            opened = c.open_session("old", (), bound=BOUND)
+            assert opened["how"] == "resumed"
+            assert opened["periods"] == 3
+            c.append_periods(trace.periods[3:])
+            assert c.query_model() == batch_model(trace)
+            c.close()
+        finally:
+            thread.stop()
+
+    def test_open_op_with_kernel_key_is_accepted(self, client):
+        from repro.service import ops
+
+        trace = canonical_trace()
+        message = ops.open_op("s", trace.tasks, bound=BOUND)
+        message["kernel"] = "loop"
+        assert client._rpc(message, "opened")["how"] == "created"
+        assert client.open_session("s", ())["how"] == "attached"
+        client.append_periods(trace.periods)
+        assert client.query_model() == batch_model(trace)
+
+
 # ----------------------------------------------------------------------
 # Layer 2: protocol against a live in-process daemon
 # ----------------------------------------------------------------------

@@ -183,21 +183,17 @@ class TestStreamLearnFormats:
 
 
 class TestStreamLearnKernel:
-    """stream_learn threads kernel= through to make_learner."""
-
-    def test_default_kernel_is_batch_with_numpy(self):
-        pytest.importorskip("numpy")
-        result = stream_learn(log_stream(), bound=4)
-        assert result.kernel == "batch"
-
-    def test_explicit_loop_kernel(self):
-        result = stream_learn(log_stream(), bound=4, kernel="loop")
-        assert result.kernel == "loop"
+    """stream_learn runs the bounded learner of the mask kernel."""
 
     def test_kernels_agree(self):
-        loop = stream_learn(log_stream(), bound=4, kernel="loop")
-        auto = stream_learn(log_stream(), bound=4)
-        assert loop.lub() == auto.lub()
+        """The streamed mask-kernel learn equals the string-kernel
+        reference on the same periods."""
+        from repro.core.reference import learn_bounded_reference
+
+        streamed = stream_learn(log_stream(), bound=4)
+        reference = learn_bounded_reference(paper_figure2_trace(), 4)
+        assert streamed.hypotheses == reference.hypotheses
+        assert streamed.merge_count == reference.merge_count
 
 
 class TestStreamLearnHandleRelease:
