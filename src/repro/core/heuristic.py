@@ -70,8 +70,9 @@ Implementation notes:
   hypothesis inherits the first parent's per-period assumptions: they are
   a legal distinct assignment of the period's messages so far, and remain
   legal inside the union pair set. If a later message still finds every
-  candidate claimed, the whole period's assignment is *recomputed* by
-  backtracking over the period's candidate history, preferring pairs the
+  candidate claimed, the whole period's assignment is *recomputed* over
+  the period's candidate history by the polynomial matching kernel
+  :func:`repro.core.matching.first_assignment`, preferring pairs the
   hypothesis already assumed (so the recovery generalizes minimally).
   Both rules keep every kept hypothesis matching every processed instance,
   which is what Theorem 2 requires of the heuristic.
@@ -94,6 +95,7 @@ from repro.core.instrumentation import hot_loop
 from repro.core.candidates import candidate_pairs
 from repro.core.hypothesis import Hypothesis
 from repro.core.interning import WeightKernel
+from repro.core.matching import first_assignment
 from repro.core.result import LearningResult
 from repro.core.weights import DistanceFunction, square_distance
 from repro.errors import EmptyHypothesisSpaceError, LearningError
@@ -550,9 +552,9 @@ class BoundedLearner(MaskedLearner):
                 # Merged-lineage corner case: the inherited assignment
                 # claims every candidate of this message. Recompute a
                 # legal assignment for the whole period so far. The
-                # repair runs in canonical space: the backtracking sorts
-                # candidate *bit values*, and compact values would
-                # explore a different order.
+                # repair runs in canonical space: its option order sorts
+                # candidate *bit values*, and compact values would give
+                # a different order.
                 repaired = self._reassign_period(
                     self._decode_compact(masks[index]), history
                 )
@@ -601,9 +603,11 @@ class BoundedLearner(MaskedLearner):
         Candidate bits already assumed by the hypothesis are preferred so
         the repair generalizes as little as possible. Returns the repaired
         ``(mask, period_mask)`` or None when no assignment exists (the
-        pool's other lineages may still survive). Bit order is index
-        order is lexicographic pair order, so the backtracking explores
-        assignments exactly as the string reference does.
+        pool's other lineages may still survive). The assignment is the
+        first one in the option order below, as found by the polynomial
+        matching kernel :func:`~repro.core.matching.first_assignment`.
+        Bit order is index order is lexicographic pair order, so it is
+        the assignment the string reference picks.
         """
         options = sorted(
             (
@@ -614,23 +618,12 @@ class BoundedLearner(MaskedLearner):
         )
         # Most-constrained message first.
         options.sort(key=lambda item: len(item[0]))
-        used = 0
-
-        def backtrack(position: int) -> bool:
-            nonlocal used
-            if position == len(options):
-                return True
-            for bit in options[position][0]:
-                if used & bit:
-                    continue
-                used |= bit
-                if backtrack(position + 1):
-                    return True
-                used &= ~bit
-            return False
-
-        if not backtrack(0):
+        chosen = first_assignment([bits for bits, _index in options])
+        if chosen is None:
             return None
+        used = 0
+        for bit in chosen:
+            used |= bit
         # Also generalize by the current message's full candidate set (the
         # last history entry): an unbounded run would have spawned one
         # extension per candidate, and their LUB contributes all of them.

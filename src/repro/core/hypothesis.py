@@ -98,7 +98,9 @@ class Hypothesis:
         the blocking set, so distinctness is preserved. (When the blocking
         set over-approximates so much that a later message finds every
         candidate claimed, the learner repairs by recomputing the period's
-        assignment — see ``BoundedLearner._reassign_period``.)
+        assignment with the polynomial matching kernel
+        :func:`repro.core.matching.first_assignment` — see
+        ``BoundedLearner._reassign_period``.)
         """
         return Hypothesis(
             self.pairs | other.pairs, self.period_pairs | other.period_pairs

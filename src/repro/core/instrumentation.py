@@ -67,7 +67,9 @@ class HotLoopCounters:
         All from-scratch Definition 8 evaluations anywhere in the hot
         loop, including per-period repairs of merged lineages.
     reassignments:
-        Merged-lineage repairs (``_reassign_period`` backtracks).
+        Merged-lineage repairs: ``_reassign_period`` calls, each one
+        assignment search by the matching kernel
+        :func:`repro.core.matching.first_assignment`.
     candidates_total / candidates_max:
         Sum and maximum of candidate-set sizes ``|A_m|`` over processed
         messages.

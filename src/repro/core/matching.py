@@ -10,12 +10,14 @@ A dependency function (hypothesis) matches a period instance when
    hypothesis, with at most one message per ordered pair in the period.
 
 Condition 2 asks for a matching of the period's messages into distinct
-allowed pairs: bipartite matching, solvable in polynomial time. It is
-solved here by backtracking with most-constrained-message-first
-ordering, which is fast on the small periods of real traces (tens of
-messages). The NP-hardness of paper Theorem 1 concerns *learning*, that
-is finding the set of most-specific hypotheses, not checking one
-hypothesis against one period.
+allowed pairs: bipartite matching, solvable in polynomial time. Every
+caller answers it through :func:`first_assignment`, which computes one
+maximum matching by augmenting paths and then fixes the positions in the
+caller's order, each by at most one alternating-path search per
+candidate: ``O(d · E)`` per position for ``d`` candidates and ``E``
+candidate edges in the period. The NP-hardness of paper Theorem 1
+concerns *learning*, that is finding the set of most-specific
+hypotheses, not checking one hypothesis against one period.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 from repro.core.candidates import candidate_pairs
 from repro.core.depfunc import DependencyFunction
 from repro.core.hypothesis import Pair
+from repro.core.instrumentation import hot_loop
 from repro.core.interning import task_table
 from repro.trace.period import Period
 from repro.trace.trace import Trace
@@ -63,43 +66,118 @@ def find_explanation(
     pair if the period's messages can all be explained under *function*;
     otherwise ``None``.
     """
-    # Distinctness bookkeeping runs on interned pair bits (one shared
-    # table per task universe): membership and claim/release are single
-    # mask operations instead of set-of-tuple mutations.
+    # The search runs on interned pair bits (one shared table per task
+    # universe); a chosen bit decodes back through the same table.
     table = task_table(function.tasks)
     messages = period.messages
-    options: list[tuple[str, tuple[Pair, ...], tuple[int, ...]]] = []
+    options: list[tuple[str, tuple[int, ...]]] = []
     for message in messages:
         permitted = allowed_pairs(
             function, candidate_pairs(period, message, tolerance)
         )
         if not permitted:
             return None
-        options.append((message.label, permitted, table.bits_of(permitted)))
-    # Most-constrained first keeps the backtracking shallow.
+        options.append((message.label, table.bits_of(permitted)))
+    # Most-constrained first: the assignment returned is the first one in
+    # this order, so the order is part of the result.
     options.sort(key=lambda item: len(item[1]))
-    assignment: dict[str, Pair] = {}
-    used = 0
+    chosen = first_assignment([bits for _label, bits in options])
+    if chosen is None:
+        return None
+    return {
+        label: table.pair_at(bit.bit_length() - 1)
+        for (label, _bits), bit in zip(options, chosen)
+    }
 
-    def backtrack(position: int) -> bool:
-        nonlocal used
-        if position == len(options):
-            return True
-        label, permitted, bits = options[position]
-        for pair, bit in zip(permitted, bits):
-            if used & bit:
+
+@hot_loop
+def _augment(
+    options: Sequence[Sequence[int]],
+    chosen: list[int],
+    owner: dict[int, int],
+    start: int,
+    floor: int,
+) -> bool:
+    """Give the unmatched position *start* a bit along an augmenting path.
+
+    Breadth-first over alternating paths: a bit held by a position at or
+    above *floor* may be re-routed, a bit held below it is fixed. On
+    success the path is flipped into *chosen*/*owner*; on failure
+    nothing is changed.
+    """
+    seen = 0
+    reached_by: dict[int, int] = {}
+    queue = [start]
+    for position in queue:
+        for bit in options[position]:
+            if seen & bit:
                 continue
-            used |= bit
-            assignment[label] = pair
-            if backtrack(position + 1):
-                return True
-            used &= ~bit
-            del assignment[label]
-        return False
+            seen |= bit
+            holder = owner.get(bit)
+            if holder is None:
+                while True:
+                    previous = chosen[position]
+                    chosen[position] = bit
+                    owner[bit] = position
+                    if position == start:
+                        return True
+                    bit = previous
+                    position = reached_by[bit]
+            if holder >= floor:
+                reached_by[bit] = position
+                queue.append(holder)
+    return False
 
-    if backtrack(0):
-        return dict(assignment)
-    return None
+
+@hot_loop
+def first_assignment(options: Sequence[Sequence[int]]) -> list[int] | None:
+    """The first distinct assignment of one bit per position, or None.
+
+    ``options[i]`` lists position ``i``'s candidate bits (distinct
+    powers of two) in the caller's preference order. The result is the
+    assignment a depth-first search over positions in order, trying each
+    position's bits in order, would return first: the lexicographically
+    first complete assignment. It is found in polynomial time. One
+    maximum matching is computed up front by augmenting paths (None if
+    it leaves a position unmatched); then each position in turn takes
+    its first bit that still leaves the later positions completely
+    matchable, checked by one alternating-path search that re-routes
+    the current matching. A position whose first free bit is already
+    matched to it costs nothing.
+    """
+    count = len(options)
+    chosen = [0] * count
+    owner: dict[int, int] = {}
+    for position in range(count):
+        for bit in options[position]:
+            if bit not in owner:
+                chosen[position] = bit
+                owner[bit] = position
+                break
+        else:
+            if not _augment(options, chosen, owner, position, 0):
+                return None
+    for position in range(count):
+        current = chosen[position]
+        for bit in options[position]:
+            if bit == current:
+                break
+            holder = owner.get(bit)
+            if holder is not None and holder < position:
+                continue  # fixed by an earlier position
+            del owner[current]
+            chosen[position] = bit
+            owner[bit] = position
+            if holder is None:
+                break
+            chosen[holder] = 0
+            if _augment(options, chosen, owner, holder, position + 1):
+                break
+            owner[bit] = holder
+            chosen[holder] = bit
+            owner[current] = position
+            chosen[position] = current
+    return chosen
 
 
 def matches_period(

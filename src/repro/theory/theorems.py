@@ -24,7 +24,7 @@ from repro.core.candidates import candidate_pairs
 from repro.core.depfunc import DependencyFunction
 from repro.core.heuristic import learn_bounded
 from repro.core.hypothesis import Hypothesis, Pair
-from repro.core.matching import matches_trace
+from repro.core.matching import first_assignment, matches_trace
 from repro.core.result import LearningResult
 from repro.core.stats import CoExecutionStats
 from repro.trace.trace import Trace
@@ -80,42 +80,6 @@ def feasible_pair_universe(trace: Trace, tolerance: float = 0.0) -> frozenset[Pa
     return frozenset(universe)
 
 
-def _pair_set_matches(
-    pairs: frozenset[Pair], trace: Trace, tolerance: float
-) -> bool:
-    """Can every message in every period be assigned a distinct pair from
-    *pairs* within its candidate set?"""
-    for period in trace.periods:
-        options = []
-        for message in period.messages:
-            permitted = [
-                pair
-                for pair in candidate_pairs(period, message, tolerance)
-                if pair in pairs
-            ]
-            if not permitted:
-                return False
-            options.append(permitted)
-        options.sort(key=len)
-        used: set[Pair] = set()
-
-        def backtrack(position: int) -> bool:
-            if position == len(options):
-                return True
-            for pair in options[position]:
-                if pair in used:
-                    continue
-                used.add(pair)
-                if backtrack(position + 1):
-                    return True
-                used.discard(pair)
-            return False
-
-        if not backtrack(0):
-            return False
-    return True
-
-
 def brute_force_most_specific(
     trace: Trace,
     tolerance: float = 0.0,
@@ -138,6 +102,16 @@ def brute_force_most_specific(
     stats = CoExecutionStats(trace.tasks)
     for period in trace.periods:
         stats.add_period(period.executed_tasks)
+    # Each message's candidate pairs as bits over the universe, computed
+    # once and masked by each subset.
+    bit_of = {pair: 1 << index for index, pair in enumerate(universe)}
+    periods = [
+        [
+            [bit_of[pair] for pair in candidate_pairs(period, message, tolerance)]
+            for message in period.messages
+        ]
+        for period in trace.periods
+    ]
     matching_sets: list[frozenset[Pair]] = []
     for size in range(len(universe) + 1):
         for combo in itertools.combinations(universe, size):
@@ -146,7 +120,14 @@ def brute_force_most_specific(
             # be minimal (matching is monotone in the pair set).
             if any(found <= candidate for found in matching_sets):
                 continue
-            if _pair_set_matches(candidate, trace, tolerance):
+            subset = sum(bit_of[pair] for pair in combo)
+            if all(
+                first_assignment(
+                    [[bit for bit in bits if subset & bit] for bits in period]
+                )
+                is not None
+                for period in periods
+            ):
                 matching_sets.append(candidate)
     return [
         Hypothesis(pair_set).to_function(stats) for pair_set in matching_sets

@@ -9,8 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import dumps_model
 from repro.cli import main
-from repro.trace.textio import read_trace
+from repro.core.depfunc import DependencyFunction
+from repro.core.lattice import MAY_DEPEND, MAY_DETERMINE
+from repro.trace.synthetic import build_trace
+from repro.trace.textio import read_trace, save_trace
 
 
 def run_cli(*argv):
@@ -189,6 +193,38 @@ class TestMonitor:
         code, output = run_cli("monitor", other, "--model", model)
         assert code == 1
         assert "1 anomalous" in output
+
+    def test_unexplainable_period_is_classified_without_hanging(self, tmp_path):
+        """One receiver, 12 senders and 13 messages under a model allowing
+        every sender -> receiver pair: no assignment exists, and the
+        monitor must say so promptly (a depth-first search would try
+        about 12! partial assignments)."""
+        k = 12
+        senders = [f"s{i:02d}" for i in range(k)]
+        tasks = (*senders, "r")
+        entries = {}
+        for sender in senders:
+            entries[(sender, "r")] = MAY_DETERMINE
+            entries[("r", sender)] = MAY_DEPEND
+        model = tmp_path / "model.json"
+        model.write_text(
+            dumps_model(DependencyFunction(tasks, entries)), encoding="utf-8"
+        )
+        trace = tmp_path / "trace.log"
+        save_trace(build_trace(tasks, [(
+            [(s, float(i), i + 0.5) for i, s in enumerate(senders)]
+            + [("r", 3.0 * k + 10, 3.0 * k + 11)],
+            [(f"m{j:02d}", k + 2.0 * j, k + 2.0 * j + 1) for j in range(k + 1)],
+        )]), str(trace))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "monitor", str(trace),
+             "--model", str(model)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 1, done.stderr
+        assert "period 0: unexplained_messages" in done.stdout
 
 
 class TestErrors:
