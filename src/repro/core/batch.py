@@ -14,7 +14,10 @@ mask columns (multi-word for > 64 pairs):
   (:func:`batch_set_weights`, :func:`batch_union_deltas`). These are
   checked against the per-cell :class:`~repro.core.interning.WeightKernel`
   ops by the tests and replayed by the kernel-op benchmark
-  (``benchmarks/throughput_json.py``); no learner calls them.
+  (``benchmarks/throughput_json.py``); no learner calls them. They stay
+  only because the repo benchmark's tracer (``perfbench/tracing.py``)
+  patches all four bulk ops by name, and a missing name breaks its
+  ``--trace 1`` runs; delete them together with that patch list.
 
 The bounded learner makes no numpy call: a message's pool is small and
 repetitive, and plain ints serve it best

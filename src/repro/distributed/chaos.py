@@ -11,7 +11,11 @@ result frame would go on the wire:
 * ``drop@I[:N]`` — the frame is silently not sent; the coordinator's
   work stealing re-dispatches the task (counted as ``tasks_stolen``).
 * ``duplicate@I[:N]`` — the frame is sent twice; the coordinator's
-  result ledger discards the second copy (``wire_duplicates``).
+  result ledger discards the second copy (``wire_duplicates``). Both
+  copies carry ``copies: 2`` (a frame without the field is one copy),
+  so the coordinator knows a copy is still owed after the first lands:
+  its teardown waits for that copy, and only while one is owed, before
+  the runtime snapshots the counters.
 * ``reorder@I[:N]`` — the frame is held back until one later frame
   (result or heartbeat) has been sent first (``wire_reorders``).
 * ``disconnect@I[:N]`` — the connection is closed *instead of* sending

@@ -156,7 +156,13 @@ class TcpShardExecutor(Executor):
         self.heartbeat_interval = heartbeat_interval
         self.counters = counters if counters is not None else HotLoopCounters()
         self._lock = threading.RLock()
+        #: Notified, under the lock, when a worker joins or leaves and
+        #: when a result frame lands.
+        self._changed = threading.Condition(self._lock)
         self._workers: dict[str, _WorkerLink] = {}
+        #: Result frames stamped ``copies: N`` that still owe copies:
+        #: (worker, epoch, task id, seq) -> copies yet to arrive.
+        self._owed: dict[tuple[str, int, int, int], int] = {}
         self._tasks: dict[int, _TaskRecord] = {}
         self._pending: deque[_TaskRecord] = deque()
         self._ledger = ResultLedger()
@@ -254,6 +260,8 @@ class TcpShardExecutor(Executor):
             self._closing = True
             links = list(self._workers.values())
             self._workers.clear()
+            self._owed.clear()
+            self._changed.notify_all()
         try:
             self._listener.close()
         except OSError:
@@ -274,21 +282,34 @@ class TcpShardExecutor(Executor):
         fleet proceeds: more workers may still join mid-run.
         """
         deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
+        with self._changed:
+            while True:
                 count = sum(1 for w in self._workers.values() if w.alive)
-                refusals = list(self._refusals)
-            if count >= want:
-                return count
-            if time.monotonic() >= deadline:
-                if count:
+                if count >= want:
                     return count
-                detail = f" (refused: {'; '.join(refusals)})" if refusals else ""
-                raise OSError(
-                    f"no workers connected to {self.address} within "
-                    f"{timeout:g}s{detail}"
-                )
-            time.sleep(0.02)
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    break
+                self._changed.wait(remaining)
+            refusals = list(self._refusals)
+        if count:
+            return count
+        detail = f" (refused: {'; '.join(refusals)})" if refusals else ""
+        raise OSError(
+            f"no workers connected to {self.address} within "
+            f"{timeout:g}s{detail}"
+        )
+
+    def drain(self, timeout: float) -> bool:
+        """Block until no result frame owes a copy, or *timeout* passes.
+
+        A worker stamps a frame it sends twice (chaos ``duplicate``)
+        with ``copies: 2``; waiting here lets the second copy reach the
+        wire tallies before the runtime snapshots them. Returns at once
+        when nothing is owed; True when nothing is owed on return.
+        """
+        with self._changed:
+            return self._changed.wait_for(lambda: not self._owed, timeout)
 
     # -- accept / handshake ------------------------------------------------
 
@@ -338,6 +359,7 @@ class TcpShardExecutor(Executor):
             self.counters.worker_connects += 1
             self._no_worker_since = None
             self._dispatch_ready()
+            self._changed.notify_all()
         threading.Thread(
             target=self._reader_loop, args=(link,),
             name=f"repro-tcp-read-{name}", daemon=True,
@@ -373,6 +395,7 @@ class TcpShardExecutor(Executor):
 
     def _handle_result(self, link: _WorkerLink, message: dict) -> None:
         with self._lock:
+            self._count_copy(link, message)
             self.counters.wire_results += 1
             task_id = message["task_id"]
             if message.get("epoch") != self._epoch:
@@ -401,6 +424,20 @@ class TcpShardExecutor(Executor):
             if not isinstance(error, BaseException):
                 error = RuntimeError(str(error))
             future.set_exception(error)
+
+    def _count_copy(self, link: _WorkerLink, message: dict) -> None:
+        """Settle one copy of a result frame against the copies it owes.
+
+        Called with the lock held, so a drain woken here sees the
+        frame's tallies only after the caller has made them.
+        """
+        key = (link.name, message.get("epoch"), message["task_id"], message["seq"])
+        owed = self._owed.pop(key, None)
+        if owed is None:
+            owed = int(message.get("copies", 1))
+        if owed > 1:
+            self._owed[key] = owed - 1
+        self._changed.notify_all()
 
     # -- scheduling (all called with the lock held) --------------------------
 
@@ -455,6 +492,10 @@ class TcpShardExecutor(Executor):
         link.alive = False
         self._workers.pop(link.name, None)
         self._ledger.forget_worker(link.name)
+        # Copies still owed on a closed connection will never arrive.
+        for key in [key for key in self._owed if key[0] == link.name]:
+            del self._owed[key]
+        self._changed.notify_all()
         if reason == "dead":
             self.counters.dead_workers += 1
         else:
@@ -592,11 +633,10 @@ class TcpExecutorFactory:
 
     def teardown(self, executor: Executor) -> None:
         if isinstance(executor, TcpShardExecutor):
-            # Give frames already in flight (a chaos duplicate rides
-            # right behind its original) a beat to land under the
-            # current epoch, so the wire tallies see them before the
-            # runtime snapshots its counters.
-            time.sleep(self.drain_seconds)
+            # A chaos duplicate rides right behind its original: wait
+            # (at most drain_seconds) only while a copy is owed, so the
+            # wire tallies see it before the runtime snapshots them.
+            executor.drain(self.drain_seconds)
             executor.reset()
 
     def close(self) -> None:

@@ -5,7 +5,8 @@ payload whose ``"kind"`` key names the message. The conversation:
 
 worker → coordinator
     ``hello`` (protocol version, worker name, slots) · ``result``
-    (task id, outcome or pickled exception) · ``heartbeat`` · ``refuse``
+    (task id, outcome or pickled exception, and ``copies`` when the
+    frame is sent more than once) · ``heartbeat`` · ``refuse``
     (handshake rejection, e.g. a store fingerprint mismatch)
 
 coordinator → worker

@@ -173,6 +173,10 @@ class _Session:
                 return
             if "drop" in faults:
                 return
+            if "duplicate" in faults:
+                # Tell the coordinator a second copy follows, so its
+                # teardown waits for that copy instead of a timer.
+                payload["copies"] = 2
             if "reorder" in faults:
                 self.sender.hold(payload)
             else:

@@ -2,8 +2,10 @@
 
 :class:`~repro.core.heuristic.BoundedLearner` runs the interned-mask
 message step (compact pair interning, one weight per distinct mask,
-per-weight FIFO pool). It must be *bit-for-bit* the string-kernel
-reference :class:`~repro.core.reference.ReferenceBoundedLearner`, which
+per-weight FIFO pool, and a single-queue step when the pool holds one
+mask that already has every candidate of the period). It must be
+*bit-for-bit* the string-kernel reference
+:class:`~repro.core.reference.ReferenceBoundedLearner`, which
 runs the per-hypothesis heap loop on frozensets — not statistically
 close, identical. In the test names below, "batch" is the interned-mask
 step and "loop" the reference's heap loop. Random small systems are
@@ -111,6 +113,28 @@ class CountingReferenceLearner(ReferenceBoundedLearner):
         return entries
 
 
+class StepSpy(BoundedLearner):
+    """The learner, counting which message step ran and the merged-lineage
+    repairs that fired inside a single-mask step."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.single_steps = 0
+        self.general_steps = 0
+        self.single_repairs = 0
+
+    def _process_single(self, keys, columns, history):
+        self.single_steps += 1
+        before = self._counters.reassignments
+        keys = super()._process_single(keys, columns, history)
+        self.single_repairs += self._counters.reassignments - before
+        return keys
+
+    def _process_combined(self, keys, columns, history):
+        self.general_steps += 1
+        return super()._process_combined(keys, columns, history)
+
+
 def run_both(trace, bound, tolerance=0.0):
     """Learn *trace* with the learner and the counting reference; assert
     every observable agrees, the child and reassignment counts too."""
@@ -131,6 +155,27 @@ def run_both(trace, bound, tolerance=0.0):
 @given(st.integers(0, 500), st.integers(1, 12))
 def test_batch_equals_loop_bounded(seed, bound):
     run_both(small_trace(seed), bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 500), st.integers(1, 16))
+def test_single_mask_steps_equal_loop(seed, bound):
+    """Eight periods, bounds 1-16: the run mixes single-mask steps (one
+    FIFO queue) with general ones, and still equals the reference in
+    the model, merges, children, reassignments and FIFO tie order."""
+    run_both(small_trace(seed, periods=8), bound)
+
+
+@pytest.mark.parametrize("seed, bound", [(0, 2), (1, 8), (5, 1)])
+def test_repair_inside_a_single_mask_step_equals_loop(seed, bound):
+    """A merged-lineage repair that fires inside a single-mask step keeps
+    the step's mask and the reference's counters."""
+    trace = small_trace(seed, periods=8)
+    learner = StepSpy(trace.tasks, bound)
+    learner.feed_trace(trace.periods)
+    assert learner.single_repairs > 0
+    assert learner.general_steps > 0
+    run_both(trace, bound)
 
 
 @settings(max_examples=15, deadline=None)
@@ -324,12 +369,19 @@ def test_gm_bound64_merge_count_is_pinned():
     """48 GM periods, seed 7 (``repro simulate gm --periods 48 --seed
     7``): the merge and reassignment counts the reference also gives."""
     trace = gm_workload(48, seed=7).trace
-    learner = BoundedLearner(trace.tasks, 64)
+    learner = StepSpy(trace.tasks, 64)
     learner.feed_trace(trace.periods)
     result = learner.result()
     assert result.merge_count == 473_223
     assert result.hot_loop.reassignments == 421
+    assert result.hot_loop.batch_children == 559_064
+    # One Definition 8 evaluation per repair, on either step.
+    assert result.hot_loop.weight_scratch_calls == 421
     assert result.peak_hypotheses == 64
+    # The single-mask step must carry the run, not sit unused.
+    steps = learner.single_steps + learner.general_steps
+    assert steps == result.messages
+    assert learner.single_steps >= 0.9 * steps
 
 
 def float_distance(value):

@@ -212,8 +212,9 @@ class FakeWorker:
         assert message["kind"] == "task"
         return message
 
-    def send_result(self, task: dict, value, *, epoch=None, seq=None):
-        send_frame(self.sock, {
+    def send_result(self, task: dict, value, *, epoch=None, seq=None,
+                    copies=None):
+        frame = {
             "kind": "result",
             "epoch": task["epoch"] if epoch is None else epoch,
             "task_id": task["task_id"],
@@ -221,7 +222,10 @@ class FakeWorker:
             "worker": "fake",
             "ok": True,
             "value": value,
-        })
+        }
+        if copies is not None:
+            frame["copies"] = copies
+        send_frame(self.sock, frame)
 
     def close(self):
         self.sock.close()
@@ -270,6 +274,60 @@ class TestCoordinator:
             time.sleep(0.01)
         assert executor.counters.wire_duplicates == 1
         worker.close()
+
+    def test_teardown_without_owed_copies_returns_at_once(self, executor):
+        worker = FakeWorker(executor)
+        executor.wait_for_workers(1, timeout=5.0)
+        future = executor.submit(_echo_task, 1)
+        worker.send_result(worker.recv_task(), "only")
+        assert future.result(timeout=5.0) == "only"
+        factory = TcpExecutorFactory("tcp://127.0.0.1:0")
+        started = time.perf_counter()
+        factory.teardown(executor)
+        assert time.perf_counter() - started < 0.010
+        worker.close()
+
+    def test_teardown_waits_for_an_owed_copy(self, executor):
+        """A frame stamped ``copies: 2`` holds the teardown until its
+        second copy is tallied, however late inside the drain window."""
+        worker = FakeWorker(executor)
+        executor.wait_for_workers(1, timeout=5.0)
+        future = executor.submit(_echo_task, 1)
+        task = worker.recv_task()
+        worker.send_result(task, "first", copies=2)
+        assert future.result(timeout=5.0) == "first"
+        late = threading.Timer(
+            0.2, lambda: worker.send_result(task, "first", copies=2)
+        )
+        late.start()
+        factory = TcpExecutorFactory("tcp://127.0.0.1:0", drain_seconds=10.0)
+        try:
+            started = time.perf_counter()
+            factory.teardown(executor)
+            waited = time.perf_counter() - started
+        finally:
+            late.join()
+        assert executor.counters.wire_duplicates == 1
+        assert 0.15 < waited < 5.0
+        worker.close()
+
+    def test_wait_for_workers_wakes_on_handshake(self, executor):
+        returned = []
+        waiter = threading.Thread(target=lambda: returned.append(
+            (executor.wait_for_workers(2, timeout=10.0), time.perf_counter())
+        ))
+        waiter.start()
+        first = FakeWorker(executor, name="first")
+        time.sleep(0.05)
+        assert not returned
+        second = FakeWorker(executor, name="second")
+        handshaken = time.perf_counter()
+        waiter.join(timeout=10.0)
+        count, woke = returned[0]
+        assert count == 2
+        assert woke - handshaken < 0.005
+        first.close()
+        second.close()
 
     def test_stale_epoch_result_dropped(self, executor):
         worker = FakeWorker(executor)
@@ -448,6 +506,17 @@ class TestEndToEnd:
         )
         assert _model_key(remote) == _model_key(local)
         assert getattr(counters, counter) >= 1, counters.as_dict()
+
+    def test_duplicate_is_counted_exactly_once_every_run(self, small_trace):
+        """The teardown drains on the owed copy, not on a timer, so the
+        duplicate lands before the counters are read in every run."""
+        counts = [
+            _distributed_learn(
+                small_trace, daemons=1, chaos="duplicate@0"
+            )[1].wire_duplicates
+            for _ in range(10)
+        ]
+        assert counts == [1] * 10
 
 
 def _alive(pid: int) -> bool:
