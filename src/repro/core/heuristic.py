@@ -90,6 +90,21 @@ Implementation notes:
 * **Period end.** :meth:`BoundedLearner._finish_period` keeps one weight
   per pair mask and drops period masks, so each distinct mask is decoded
   back to canonical bits once and period masks are never decoded.
+
+**The one pass.** Every step above keeps the union of the pool's pair
+masks equal to the union of the candidate sets ``A_m`` seen so far: a
+key that still has a free candidate bit spawns one child per free bit
+and its taken bits are already in its mask, merging and dedup keep the
+union, and a repair adds the current message's whole candidate set. So
+the LUB of the bound-``b`` output is ``⋃ A_m`` for every ``b`` (the
+paper's Lemma, with bound 1 as the special case). :func:`lub_model`
+computes that union in one pass, ``O(Σ |A_m|)`` plus one assignment
+search per period, without a pool. The pool empties exactly when some
+message prefix of a period has no distinct assignment, which is when
+the whole period has none, so the one pass raises the same
+:class:`~repro.errors.EmptyHypothesisSpaceError` at the same period.
+Shards use it (they keep only the LUB), and :func:`learn_bounded`
+checks its own output against it (the Lemma certificate).
 """
 
 from __future__ import annotations
@@ -98,16 +113,18 @@ import numbers
 import time
 from bisect import insort
 from collections import deque
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core import lattice
 from repro.core.base import MaskedLearner
-from repro.core.instrumentation import hot_loop
+from repro.core.instrumentation import HotLoopCounters, hot_loop
 from repro.core.candidates import candidate_pairs
-from repro.core.hypothesis import Hypothesis
-from repro.core.interning import WeightKernel
+from repro.core.hypothesis import Hypothesis, Pair
+from repro.core.interning import WeightKernel, task_table
 from repro.core.matching import first_assignment
 from repro.core.result import LearningResult
+from repro.core.stats import CoExecutionStats
 from repro.core.weights import DistanceFunction, square_distance
 from repro.errors import EmptyHypothesisSpaceError, LearningError
 from repro.trace.events import MessageOccurrence
@@ -771,13 +788,98 @@ class BoundedLearner(MaskedLearner):
         )
 
 
+@dataclass
+class LubModel:
+    """What :func:`lub_model` returns: the LUB as one pair mask over
+    :func:`~repro.core.interning.task_table` of the task universe, the
+    co-execution statistics of the periods, and the pass's counters."""
+
+    pairs_mask: int
+    stats: CoExecutionStats
+    hot_loop: HotLoopCounters
+
+    @property
+    def pairs(self) -> frozenset[Pair]:
+        """The LUB's pair set, decoded (the string boundary API)."""
+        return task_table(self.stats.tasks).pairs_of(self.pairs_mask)
+
+
+@hot_loop
+def lub_model(
+    tasks: Iterable[str],
+    periods: Sequence[Period],
+    tolerance: float = 0.0,
+    check: bool = True,
+) -> LubModel:
+    """The LUB of the bounded learner's output, in one pass.
+
+    By the paper's Lemma (see the module notes) that LUB is the union of
+    every message's candidate pairs ``A_m``, whatever the bound. With
+    *check* (the default) each period must be explainable: an empty
+    ``A_m``, or a period whose messages have no distinct assignment,
+    raises :class:`~repro.errors.EmptyHypothesisSpaceError` with the
+    index of the period within *periods*, which is where and how a
+    :class:`BoundedLearner` fed the same periods raises. Without it the
+    union of every candidate set is returned as is.
+    """
+    stats = CoExecutionStats(tasks)
+    bits_of = task_table(stats.tasks).bits_of
+    counters = HotLoopCounters()
+    union = 0
+    for index, period in enumerate(periods):
+        started = time.perf_counter()
+        dirty = stats.add_period(period.executed_tasks)
+        mark = time.perf_counter()
+        counters.stats_seconds += mark - started
+        options = []
+        for message in period.messages:
+            pairs = candidate_pairs(period, message, tolerance)
+            if check and not pairs:
+                raise EmptyHypothesisSpaceError(index)
+            counters.observe_candidates(len(pairs))
+            bits = bits_of(pairs)
+            options.append(bits)
+            for bit in bits:
+                union |= bit
+        if check and first_assignment(options) is None:
+            raise EmptyHypothesisSpaceError(index)
+        counters.process_seconds += time.perf_counter() - mark
+        counters.periods += 1
+        counters.dirty_pairs += len(dirty)
+        if not dirty:
+            counters.clean_periods += 1
+    return LubModel(union, stats, counters)
+
+
+# Boundary code: certifies the run and decodes a differing pair.
+# repro-lint: ignore[RL002]
 def learn_bounded(
     trace: Trace,
     bound: int,
     tolerance: float = 0.0,
     distance: DistanceFunction = lattice.distance,
 ) -> LearningResult:
-    """Run the bounded heuristic over a complete trace."""
+    """Run the bounded heuristic over a complete trace.
+
+    The run is certified against the paper's Lemma before it returns:
+    the union of its hypotheses' pair masks must equal
+    :func:`lub_model` over the same trace, or a
+    :class:`~repro.errors.LearningError` names the first pair (in pair
+    index order) on which they differ.
+    """
     learner = BoundedLearner(trace.tasks, bound, tolerance, distance)
     learner.feed_trace(trace)
+    union = 0
+    for mask in learner._masks:
+        union |= mask
+    expected = lub_model(trace.tasks, trace.periods, tolerance).pairs_mask
+    differ = union ^ expected
+    if differ:
+        low = differ & -differ
+        pair = learner.table.pair_at(low.bit_length() - 1)
+        side = "bounded run's" if union & low else "one-pass"
+        raise LearningError(
+            f"Lemma certificate failed: pair {pair} is only in the "
+            f"{side} LUB"
+        )
     return learner.result()

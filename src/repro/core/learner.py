@@ -49,10 +49,10 @@ def learn_dependencies(
     workers:
         ``1`` (the default) learns sequentially — bit-for-bit the classic
         path. ``N > 1`` requires a bound: the periods are split into
-        ``N`` contiguous shards, each learned in its own process, and the
-        shard outputs merged by LUB (:mod:`repro.core.sharded`). Sound by
-        Theorem 2, but the merged model may be *less specific* than the
-        sequential LUB.
+        ``N`` contiguous shards, each reduced to its LUB in one pass in
+        its own process, and the shard LUBs merged
+        (:mod:`repro.core.sharded`). By the paper's Lemma the merged
+        model equals the sequential LUB; the result holds only it.
     shard_policy:
         Fault-tolerance policy for the sharded path (timeouts, retries,
         shard splitting, degradation to sequential learning); ``None``

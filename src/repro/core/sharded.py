@@ -2,33 +2,38 @@
 
 The bounded heuristic is sound under least-upper-bound generalization
 (paper Theorem 2): every hypothesis it keeps matches every processed
-instance, and taking a LUB only ever *generalizes*. That gives sharding
-for free on the soundness side — run an independent
-:class:`~repro.core.heuristic.BoundedLearner` over each contiguous chunk
-of the trace's periods and combine the chunk outputs with the lattice
-LUB, and the merged model still matches every period of the whole trace.
+instance, and taking a LUB only ever *generalizes*. So each contiguous
+chunk of the trace's periods can be learned on its own and the chunk
+LUBs combined with the lattice LUB, and the merged model still matches
+every period of the whole trace.
+
+A shard keeps only its LUB, never its hypothesis set. By the paper's
+Lemma that LUB is the same at every bound, and with the learner's
+repair rule it is the union of the shard's candidate sets ``A_m``
+(see :mod:`repro.core.heuristic`). So a shard runs the one pass
+:func:`~repro.core.heuristic.lub_model` (``O(Σ |A_m|)`` plus one
+assignment search per period) instead of the ``b·|A_m|`` heuristic, and
+raises the :class:`~repro.errors.EmptyHypothesisSpaceError` a
+:class:`~repro.core.heuristic.BoundedLearner` would raise on the shard,
+at the same shard-local period.
 
 The merge is done at the pair-set level, where the LUB is a plain set
 union (see :mod:`repro.core.hypothesis`):
 
-* the merged hypothesis's pair set is the union over shards of the union
-  of each shard's surviving pair sets (each shard's contribution is its
-  own ``⊔D*``, which by the paper's Lemma equals its bound-1 run);
+* the merged hypothesis's pair set is the union of the shards' pair
+  masks;
 * the merged co-execution statistics are the *sum* of the shard
   statistics — per-period counts are order-independent, so the summed
   statistics are identical to a sequential run's, and the merged model's
   certain/probable verdicts are judged against the whole trace rather
   than any single shard.
 
-What sharding can lose is *specificity*, never soundness: a sequential
-run merges lightest-first across the whole trace, a sharded run merges
-within shards only, so the merged LUB may sit higher in the lattice than
-the sequential LUB. (Empirically it rarely does: by the Lemma each
-shard's LUB already equals its bound-1 union, and those unions compose.)
-The differential tests in ``tests/test_sharded.py`` pin both directions:
-``workers=1`` is bit-for-bit the sequential path, and ``workers>=2`` is
-always ``⊒`` the sequential LUB, with the specificity gap quantified by
-the Definition 8 weight.
+Unions compose, so sharding loses neither soundness nor specificity:
+the merged model equals the sequential run's LUB, byte for byte, at any
+partition. The differential tests in ``tests/test_sharded.py`` pin it:
+``workers=1`` is bit-for-bit the sequential path (the heuristic, whose
+hypothesis set is the paper's output), and ``workers>=2`` is ``⊒`` the
+sequential LUB and byte-identical to it.
 
 Workers are OS processes (:class:`concurrent.futures.ProcessPoolExecutor`)
 because the hot loop is pure Python and the GIL would serialize threads.
@@ -47,9 +52,8 @@ deterministic backoff, automatic bisection of repeatedly-failing shards,
 executor rebuilds after ``BrokenProcessPool``, and graceful degradation
 to in-process sequential learning — all behind one
 :class:`~repro.core.shardexec.ShardPolicy` value. The LUB merge is a
-commutative, associative fold, so none of that machinery can change the
-answer for a fixed shard partition (and a bisected partition can only
-generalize, never lose soundness).
+commutative, associative fold, and a bisected shard's two unions are the
+unsplit shard's union, so none of that machinery can change the answer.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.core.heuristic import BoundedLearner
+from repro.core.heuristic import BoundedLearner, lub_model
 from repro.core.hypothesis import Hypothesis
 from repro.core.instrumentation import HotLoopCounters, hot_loop
 from repro.core.interning import TaskTable
@@ -132,21 +136,30 @@ def learn_shard(
     bound: int,
     tolerance: float,
 ) -> ShardOutcome:
-    """Run one shard's bounded learner (executed in a worker process)."""
-    learner = BoundedLearner(tasks, bound, tolerance)
-    learner.feed_trace(periods)
-    union = 0
-    for mask in learner._masks:
-        union |= mask
+    """Learn one shard's LUB in one pass (executed in a worker process).
+
+    The outcome keeps only the LUB of the bounded learner's output, which
+    by the paper's Lemma is the union of the shard's candidate sets at
+    every bound, so :func:`~repro.core.heuristic.lub_model` computes it
+    without a hypothesis pool. It raises what a
+    :class:`~repro.core.heuristic.BoundedLearner` fed the shard raises,
+    including :class:`~repro.errors.EmptyHypothesisSpaceError` with the
+    shard-local period index. No pool means one hypothesis and no merges.
+    """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    started = time.perf_counter()
+    model = lub_model(tasks, periods, tolerance)
+    counters = model.hot_loop
     return ShardOutcome(
-        pairs_mask=union,
-        stats=learner.stats,
-        periods=learner._periods,
-        messages=learner._messages,
-        peak_hypotheses=learner._peak,
-        merge_count=learner._merges,
-        elapsed_seconds=learner._elapsed,
-        hot_loop=learner._counters.copy(),
+        pairs_mask=model.pairs_mask,
+        stats=model.stats,
+        periods=counters.periods,
+        messages=counters.messages,
+        peak_hypotheses=1,
+        merge_count=0,
+        elapsed_seconds=time.perf_counter() - started,
+        hot_loop=counters,
     )
 
 
@@ -229,8 +242,10 @@ def learn_bounded_sharded(
 ) -> LearningResult:
     """Learn *trace* across *workers* period shards and LUB-merge.
 
-    Sound by construction (LUB only generalizes — Theorem 2); the merged
-    result can be less specific than a sequential run's LUB, never more.
+    Sound by construction (LUB only generalizes — Theorem 2), and by the
+    paper's Lemma the merged model equals a sequential run's LUB. The
+    result holds that one hypothesis; each shard reports one hypothesis
+    and no merges, because it computes its LUB without a pool.
     ``workers=1`` is not special-cased here on purpose: callers wanting
     the bit-for-bit sequential path should use
     :func:`~repro.core.learner.learn_dependencies`, which routes

@@ -27,8 +27,8 @@ through :class:`~repro.pipeline.config.PipelineConfig` down to
 Why retrying, splitting and degrading are all *sound*: a shard's outcome
 is a pure function of its period range (workers share no state), so a
 retry reproduces the lost outcome exactly; a bisected shard's two
-outcomes merge to a result that is ``⊒`` the unsplit shard's in the
-value lattice (the merge only generalizes — Theorem 2); and the
+outcomes merge to the unsplit shard's (a shard's pair mask is the union
+of its periods' candidate sets, which composes); and the
 in-process fallback runs the very same
 :func:`~repro.core.sharded.learn_shard` the worker would have. The
 merged statistics are per-period sums, hence identical under any
@@ -44,10 +44,13 @@ Fault handling, concretely:
   expired shard one attempt.
 * **Worker crash** — an abrupt worker death breaks the whole pool and
   every in-flight future raises ``BrokenProcessPool`` without naming a
-  culprit. The runtime rebuilds the executor and requeues all in-flight
-  shards with one attempt charged to each (the guilty shard is among
-  them, so attempts still converge); rebuilds are budgeted by
-  ``ShardPolicy.max_pool_rebuilds``, after which the runtime degrades.
+  culprit. The runtime tears the executor down, keeps the result of
+  every in-flight shard whose result arrived, and requeues the others
+  with one attempt charged to each (the guilty shard is among them, so
+  attempts still converge); a shard whose submit the broken pool
+  refused counts as in flight. It then rebuilds the executor; rebuilds
+  are budgeted by ``ShardPolicy.max_pool_rebuilds``, after which the
+  runtime degrades.
 * **Repeated failure** — a shard that keeps failing is bisected into two
   smaller period ranges with fresh attempt budgets; a single-period
   shard that still fails is learned in-process (``degrade=sequential``)
@@ -521,12 +524,14 @@ class ShardRuntime:
                         pool = None  # torn down to kill the hung worker
                     continue
                 # The pool is broken: the guilty shard cannot be told
-                # apart from the bystanders, so every in-flight shard is
-                # charged one attempt and requeued, and the executor is
-                # rebuilt within the policy's budget.
-                self._requeue_inflight(inflight, queue, charge_attempt=True)
+                # apart from the bystanders, so every in-flight shard
+                # without a result is charged one attempt and requeued,
+                # and the executor is rebuilt within the policy's budget.
                 self._teardown(pool)
                 pool = None
+                self._settle_inflight(
+                    inflight, queue, outcomes, charge_attempt=True
+                )
                 broken_rebuilds += 1
                 if broken_rebuilds > self.policy.max_pool_rebuilds:
                     degraded = self._degrade_or_raise(queue)
@@ -561,7 +566,7 @@ class ShardRuntime:
         """Submit backoff-expired jobs up to the in-flight cap.
 
         Returns ``False`` when the pool turned out to be broken (the
-        unsubmitted job is requeued).
+        refused job joins the in-flight jobs, which the caller settles).
         """
         now = time.monotonic()
         rotations = 0
@@ -575,8 +580,14 @@ class ShardRuntime:
             job = queue.popleft()
             try:
                 future = pool.submit(self.worker, self._args(job))
-            except (BrokenExecutor, RuntimeError):
-                queue.appendleft(job)
+            except (BrokenExecutor, RuntimeError) as error:
+                # The job was dispatched to this executor, so it is
+                # settled with the executor's in-flight jobs: whether the
+                # break came just before or just after the submit does
+                # not change its state.
+                future = Future()
+                future.set_exception(BrokenExecutor(str(error)))
+                inflight[future] = (job, None)
                 return False
             deadline = (
                 now + self.policy.timeout
@@ -618,7 +629,11 @@ class ShardRuntime:
         outcomes: list,
         tick: float | None,
     ) -> bool:
-        """Harvest finished futures; returns True if the pool broke."""
+        """Harvest finished futures; returns True if the pool broke.
+
+        A job whose future reports the break stays in flight: the caller
+        tears the pool down and settles every in-flight job at once.
+        """
         if not inflight:
             return False
         done, _ = wait(
@@ -626,16 +641,19 @@ class ShardRuntime:
         )
         broken = False
         for future in done:
-            job, _ = inflight.pop(future)
+            job, _ = inflight[future]
             try:
-                outcomes.append(future.result())
+                outcome = future.result()
             except BrokenExecutor:
                 broken = True
-                queue.append(self._advanced(job))
-                self.counters.pool_requeues += 1
+                continue
             except Exception as error:
+                del inflight[future]
                 self.counters.shard_failures += 1
                 self._handle_failure(job, error, queue, outcomes)
+                continue
+            del inflight[future]
+            outcomes.append(outcome)
         return broken
 
     def _expire_deadlines(
@@ -671,8 +689,8 @@ class ShardRuntime:
             self._handle_failure(
                 job, error, queue, outcomes, timed_out=True
             )
-        self._requeue_inflight(inflight, queue, charge_attempt=False)
         self._teardown(pool)
+        self._settle_inflight(inflight, queue, outcomes, charge_attempt=False)
         self.counters.pool_rebuilds += 1
         return True
 
@@ -725,13 +743,30 @@ class ShardRuntime:
         self._next_index += 1
         return index
 
-    def _requeue_inflight(
+    def _settle_inflight(
         self,
         inflight: dict[Future, tuple[ShardJob, float | None]],
         queue: deque[ShardJob],
+        outcomes: list,
         charge_attempt: bool,
     ) -> None:
-        for job, _ in inflight.values():
+        """Settle the in-flight jobs of a torn-down executor.
+
+        Runs after the teardown, when the executor has resolved every
+        future it ever will. A job whose result arrived is done, whether
+        the runtime saw the result before the break or after it; every
+        other job is requeued and charged as one pool requeue. So the
+        counters follow the jobs' states, not the order in which the
+        executor reported them.
+        """
+        for future, (job, _) in inflight.items():
+            if (
+                future.done()
+                and not future.cancelled()
+                and future.exception() is None
+            ):
+                outcomes.append(future.result())
+                continue
             queue.append(self._advanced(job) if charge_attempt else job)
             self.counters.pool_requeues += 1
         inflight.clear()

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.candidates import candidate_pairs
 from repro.core.depfunc import DependencyFunction
-from repro.core.heuristic import learn_bounded
+from repro.core.heuristic import learn_bounded, lub_model
 from repro.core.hypothesis import Hypothesis, Pair
 from repro.core.matching import first_assignment, matches_trace
 from repro.core.result import LearningResult
@@ -72,12 +72,13 @@ def check_correctness(
 # ----------------------------------------------------------------------
 
 def feasible_pair_universe(trace: Trace, tolerance: float = 0.0) -> frozenset[Pair]:
-    """Union of candidate pairs over every message in the trace."""
-    universe: set[Pair] = set()
-    for period in trace.periods:
-        for message in period.messages:
-            universe.update(candidate_pairs(period, message, tolerance))
-    return frozenset(universe)
+    """Union of candidate pairs over every message in the trace.
+
+    The union is the one-pass LUB's, decoded; it skips the one pass's
+    explainability check, because brute force must accept (and find no
+    matching set for) a trace that no hypothesis explains.
+    """
+    return lub_model(trace.tasks, trace.periods, tolerance, check=False).pairs
 
 
 def brute_force_most_specific(

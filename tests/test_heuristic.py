@@ -3,11 +3,12 @@
 import pytest
 
 from repro.core.exact import learn_exact
-from repro.core.heuristic import BoundedLearner, learn_bounded
+from repro.core.heuristic import BoundedLearner, learn_bounded, lub_model
 from repro.core.hypothesis import Hypothesis
 from repro.core.lattice import DETERMINES, MAY_DETERMINE, MUTUAL, PARALLEL
 from repro.core.reference import extension_delta, pair_value, union_weight
 from repro.core.stats import CoExecutionStats
+from repro.errors import LearningError
 from repro.trace.synthetic import paper_figure2_trace, serial_chain_trace
 
 
@@ -121,6 +122,49 @@ class TestBoundedLearning:
             learner.feed(period)
         batch = learn_bounded(trace, 3)
         assert set(learner.result().functions) == set(batch.functions)
+
+
+class TestLemmaCertificate:
+    """learn_bounded checks its LUB against the one pass."""
+
+    def test_one_pass_equals_the_learned_lub(self):
+        trace = paper_figure2_trace()
+        model = lub_model(trace.tasks, trace.periods)
+        for bound in (1, 3, 8):
+            result = learn_bounded(trace, bound)
+            assert result.lub() == Hypothesis(model.pairs).to_function(
+                model.stats
+            )
+
+    @pytest.mark.parametrize("side", ["bounded run's", "one-pass"])
+    def test_a_differing_pair_is_named(self, monkeypatch, side):
+        import repro.core.heuristic as heuristic
+
+        trace = paper_figure2_trace()
+        table = BoundedLearner(trace.tasks, 1).table
+        model = lub_model(trace.tasks, trace.periods)
+        full = model.pairs_mask
+        if side == "bounded run's":
+            forged = full ^ (full & -full)  # drop the first pair
+        else:
+            outside = min(
+                (s, r) for s in trace.tasks for r in trace.tasks
+                if s != r and (s, r) not in model.pairs
+            )
+            forged = full | table.mask_of([outside])
+
+        def forged_lub_model(*args, **kwargs):
+            model = lub_model(*args, **kwargs)
+            model.pairs_mask = forged
+            return model
+
+        monkeypatch.setattr(heuristic, "lub_model", forged_lub_model)
+        differ = forged ^ full
+        pair = table.pair_at((differ & -differ).bit_length() - 1)
+        with pytest.raises(LearningError, match="Lemma certificate") as info:
+            learn_bounded(trace, 4)
+        assert str(pair) in str(info.value)
+        assert f"only in the {side} LUB" in str(info.value)
 
 
 class TestRuntimeScaling:

@@ -22,6 +22,8 @@ single-CPU machines.
 from __future__ import annotations
 
 import os
+import threading
+from concurrent.futures import BrokenExecutor, Executor, Future
 
 import pytest
 
@@ -32,6 +34,7 @@ from repro.core.shardexec import (
     ChaosSpec,
     ShardJob,
     ShardPolicy,
+    ShardRuntime,
     parse_chaos,
 )
 from repro.errors import ShardExecutionError
@@ -474,3 +477,100 @@ class TestPolicyThreading:
         )
         assert result.workers == 1
         assert result.hot_loop.pool_rebuilds == 0
+
+
+class _ScriptedExecutor(Executor):
+    """A first-generation executor that breaks under shard 0.
+
+    ``landing`` says when shard 1, the bystander, delivers its result:
+    ``"before"`` the break (at submit; the break follows on a timer) or
+    ``"after"`` it (the break is immediate and the result lands during
+    the teardown); or the bystander never delivers, because the break
+    is immediate and either its submit is ``"refused"`` or it is
+    ``"lost"`` in the teardown. Later generations run every shard.
+    """
+
+    def __init__(self, generation: int, landing: str) -> None:
+        self.generation = generation
+        self.landing = landing
+        self.late: list[tuple[Future, object]] = []
+        self.broken = False
+
+    def submit(self, fn, /, *args, **kwargs):
+        (shard_args,) = args
+        future = Future()
+        if self.generation > 0:
+            future.set_result(fn(shard_args))
+        elif shard_args[4] == 0:
+            error = BrokenExecutor("a worker died")
+            if self.landing == "before":
+                threading.Timer(0.05, future.set_exception, (error,)).start()
+            else:
+                self.broken = True
+                future.set_exception(error)
+        elif self.broken and self.landing == "refused":
+            raise BrokenExecutor("a worker died")
+        elif self.landing == "before":
+            future.set_result(fn(shard_args))
+        elif self.landing == "lost":
+            self.late.append((future, BrokenExecutor("a worker died")))
+        else:
+            self.late.append((future, fn(shard_args)))
+        return future
+
+
+class _ScriptedFactory:
+    def __init__(self, landing: str) -> None:
+        self.landing = landing
+        self.generations = 0
+
+    def new_executor(self) -> Executor:
+        self.generations += 1
+        return _ScriptedExecutor(self.generations - 1, self.landing)
+
+    def teardown(self, executor: Executor) -> None:
+        for future, outcome in executor.late:
+            if isinstance(outcome, BaseException):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+
+def _echo_shard(args):
+    return (args[4], args[5])  # (shard index, attempt)
+
+
+class TestRequeueAccounting:
+    """Pool requeues follow the jobs' states, not the order in which the
+    executor reports a break and a bystander's result."""
+
+    def run_scripted(self, landing):
+        runtime = ShardRuntime(
+            ("a", "b"), 4, 0.0, workers=2,
+            policy=ShardPolicy(**FAST),
+            worker=_echo_shard, fallback=_echo_shard,
+            executor_factory=_ScriptedFactory(landing),
+        )
+        outcomes = runtime.run([("p0",), ("p1",)])
+        return sorted(outcomes), runtime.counters
+
+    def test_bystander_before_or_after_the_break(self):
+        before = self.run_scripted("before")
+        after = self.run_scripted("after")
+        assert before == after
+        outcomes, counters = before
+        # The bystander's first result is kept; the guilty shard reruns
+        # with one attempt charged.
+        assert outcomes == [(0, 1), (1, 0)]
+        assert counters.pool_requeues == 1
+        assert counters.pool_rebuilds == 1
+        assert counters.shard_retries == 0
+
+    def test_refused_submit_counts_as_in_flight(self):
+        refused = self.run_scripted("refused")
+        assert refused == self.run_scripted("lost")
+        outcomes, counters = refused
+        # The refused bystander is charged like a lost one.
+        assert outcomes == [(0, 1), (1, 1)]
+        assert counters.pool_requeues == 2
+        assert counters.pool_rebuilds == 1
