@@ -82,42 +82,6 @@ def test_throughput_mask_kernel_speedup(gm):
     assert factor >= 1.5, f"expected >= 1.5x over the string kernel, got {factor:.2f}x"
 
 
-def test_throughput_batch_kernel_speedup(gm):
-    """The numpy bulk extension ops vs their per-cell form.
-
-    The >= 2x kernel-op throughput floor is measured on recorded real
-    extension cells of a GM learn (the same replay ``throughput_json.py``
-    commits to the baseline; it asserts both forms identical first) and
-    is gated on cpu count and smoke mode like the other speed assertions.
-    """
-    import os
-
-    from conftest import SMOKE
-    from throughput_json import (
-        BATCH_OP_BOUND,
-        MIN_BATCH_KERNEL_SPEEDUP,
-        measure_kernel_ops,
-    )
-
-    trace = gm.trace.subtrace(8)
-    ops = measure_kernel_ops(trace, BATCH_OP_BOUND, repeats=3)
-    print(
-        f"\n[throughput] bulk ops {ops['ops_per_second']:.0f} cells/s "
-        f"vs per-cell {ops['loop_ops_per_second']:.0f} cells/s = "
-        f"{ops['speedup_vs_loop']:.2f}x"
-    )
-    if os.cpu_count() >= 4 and not SMOKE:
-        assert ops["speedup_vs_loop"] >= MIN_BATCH_KERNEL_SPEEDUP, (
-            f"expected >= {MIN_BATCH_KERNEL_SPEEDUP:.1f}x over the per-cell "
-            f"form, got {ops['speedup_vs_loop']:.2f}x"
-        )
-    else:
-        print(
-            "[throughput] bulk-op speedup assertion skipped "
-            f"(cpus={os.cpu_count()}, smoke={SMOKE})"
-        )
-
-
 def test_throughput_streamed_learning(benchmark, gm):
     text = dumps_trace(gm.trace.subtrace(8))
 
@@ -292,7 +256,7 @@ def test_throughput_chaos_recovery_overhead(benchmark, gm, monkeypatch):
 
     bound = 16
     trace = gm.trace.subtrace(8) if SMOKE else gm.trace
-    policy = ShardPolicy(retries=2, backoff=0.01, backoff_cap=0.05)
+    policy = ShardPolicy(retries=2)
 
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     clean = measure(
@@ -323,7 +287,6 @@ def test_throughput_chaos_recovery_overhead(benchmark, gm, monkeypatch):
     counters = chaos.value.hot_loop
     assert counters.shard_failures == 2
     assert counters.shard_retries == 2
-    assert counters.shard_splits == 0
     assert counters.degraded_shards == 0
     print()
     print(

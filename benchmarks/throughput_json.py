@@ -3,10 +3,8 @@
 Measures ops/sec for the three pipelines a user actually pays for —
 simulation, bounded learning, and streamed ingest — plus the reference
 (string-kernel) learner so the mask kernel's speedup factor is recorded
-alongside the absolute numbers. ``learner_batch`` records the numpy bulk
-ops of ``repro.core.batch`` against their per-cell form, replaying the
-extension cells recorded from a real GM learn. Every ratio carries a
-one-line ``cause``. Run via ``make bench-json``::
+alongside the absolute numbers. Every ratio carries a one-line
+``cause``. Run via ``make bench-json``::
 
     python benchmarks/throughput_json.py              # regenerate baseline
     python benchmarks/throughput_json.py --check      # soft regression gate
@@ -27,8 +25,7 @@ latency the daemon is supposed to overlap).
 
 ``--check`` compares a fresh measurement against the committed baseline
 and exits non-zero if bounded-learner or store-ingest throughput dropped
-by more than 20%, if the bulk ops fell under 2x their per-cell form on
-recorded cells, if a store-backed (mmap) learn runs more than 10% slower than
+by more than 20%, if a store-backed (mmap) learn runs more than 10% slower than
 the in-memory learn (``learner_store`` parity), or if the distributed
 learn falls below 1.5x the sequential learner.
 On machines with fewer than 4 CPUs (or under ``REPRO_BENCH_SMOKE=1``) the
@@ -60,11 +57,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.bench.workloads import gm_workload  # noqa: E402
-from repro.core import lattice  # noqa: E402
-from repro.core.batch import batch_extension_tables  # noqa: E402
 from repro.core.candidates import clear_candidate_cache  # noqa: E402
-from repro.core.heuristic import BoundedLearner, learn_bounded  # noqa: E402
-from repro.core.interning import WeightKernel  # noqa: E402
+from repro.core.heuristic import learn_bounded  # noqa: E402
 from repro.core.reference import learn_bounded_reference  # noqa: E402
 from repro.pipeline.ingest import ingest_to_store  # noqa: E402
 from repro.trace.formats import get_format  # noqa: E402
@@ -79,14 +73,6 @@ REGRESSION_TOLERANCE = 0.20
 #: Below this CPU count the gate is advisory only (CI noise floor).
 MIN_CPUS_FOR_GATE = 4
 
-
-#: Minimum kernel-op speedup (bulk ops over per-cell) that passes --check.
-MIN_BATCH_KERNEL_SPEEDUP = 2.0
-#: Pool bound for the recorded kernel-op workload. Larger than
-#: LEARNER_BOUND on purpose: per-message matrices are (pool x
-#: candidates), and the vectorized win is what matters at the pool
-#: sizes where per-cell evaluation actually hurts.
-BATCH_OP_BOUND = 64
 
 #: Maximum fractional slowdown of a store-backed learn over the
 #: in-memory learn that passes --check: lazily materializing periods
@@ -146,108 +132,6 @@ def _cold(learn):
         return learn()
 
     return run
-
-
-def _record_kernel_workload(trace, bound: int):
-    """Record the real per-message extension workload of a bounded run.
-
-    Runs the learner over *trace* with a recorder hook: every ``(pool
-    entries, candidate bits)`` pair the message step sees is captured,
-    decoded from pool keys back to ``(mask, period_mask, weight)``
-    triples in canonical bit space, so the kernel-op benchmark replays
-    the exact (hypothesis x candidate) cells a production learn
-    evaluates — no synthetic masks. Returns the snapshots plus a weight
-    kernel built from the run's final statistics to evaluate them under.
-    """
-    snapshots: list[tuple[list, tuple]] = []
-
-    class Recorder(BoundedLearner):
-        def _record(self, keys, history):
-            field = self._field
-            low = (1 << field) - 1
-            entries = [
-                (
-                    self._decode_compact(self._pool_masks[key >> field]),
-                    self._decode_compact(key & low),
-                    self._pool_weights[key >> field],
-                )
-                for key in keys
-            ]
-            snapshots.append((entries, tuple(history[-1])))
-
-        def _process_single(self, keys, columns, history):
-            self._record(keys, history)
-            return super()._process_single(keys, columns, history)
-
-        def _process_combined(self, keys, columns, history):
-            self._record(keys, history)
-            return super()._process_combined(keys, columns, history)
-
-    learner = Recorder(trace.tasks, bound)
-    learner.feed_trace(trace.periods)
-    kernel = WeightKernel(learner.table, learner.stats, lattice.distance)
-    return kernel, snapshots
-
-
-def _loop_extension_tables(kernel: WeightKernel, entries, bits):
-    """The per-cell form of ``batch_extension_tables``."""
-    extension_delta = kernel.extension_delta
-    feasible_rows, weight_rows = [], []
-    for mask, period_mask, weight in entries:
-        feasible_rows.append([not period_mask & bit for bit in bits])
-        weight_rows.append(
-            [weight + extension_delta(mask, bit) for bit in bits]
-        )
-    return feasible_rows, weight_rows
-
-
-def measure_kernel_ops(trace, bound: int, repeats: int) -> dict:
-    """Kernel-op throughput, per-cell vs bulk, on recorded real cells.
-
-    One op is one (hypothesis, candidate) extension cell — feasibility
-    test plus child weight — what the learner's message step evaluates.
-    Both forms replay the same recorded snapshots and their outputs are
-    asserted identical before timing.
-    """
-    kernel, snapshots = _record_kernel_workload(trace, bound)
-    cells = sum(len(entries) * len(bits) for entries, bits in snapshots)
-
-    for entries, bits in snapshots:
-        expected = _loop_extension_tables(kernel, entries, bits)
-        actual = batch_extension_tables(kernel, entries, bits)
-        if expected != actual:
-            raise RuntimeError(
-                "bulk extension tables diverged from the per-cell form on "
-                "recorded gm extension cells; refusing to benchmark them"
-            )
-
-    def run_loop():
-        for entries, bits in snapshots:
-            _loop_extension_tables(kernel, entries, bits)
-
-    def run_batch():
-        for entries, bits in snapshots:
-            batch_extension_tables(kernel, entries, bits)
-
-    loop_seconds = _best_seconds(run_loop, repeats)
-    batch_seconds = _best_seconds(run_batch, repeats)
-    return {
-        "seconds": batch_seconds,
-        "ops_per_second": cells / batch_seconds,
-        "unit": "cells/s",
-        "workload": (
-            f"recorded extension cells: {len(snapshots)} messages, "
-            f"{cells} (hypothesis x candidate) cells, bound={bound}"
-        ),
-        "loop_seconds": loop_seconds,
-        "loop_ops_per_second": cells / loop_seconds,
-        "speedup_vs_loop": loop_seconds / batch_seconds,
-        "cause": (
-            "numpy evaluates a message's whole (pool x candidate) cell "
-            "matrix in a few vector ops, the per-cell form pays interpreter "
-            "dispatch per cell; no learner calls these ops"
-        ),
-    }
 
 
 def _free_port() -> int:
@@ -532,7 +416,6 @@ def measure_throughput(smoke: bool = False) -> dict:
             _cold(lambda: learn_bounded(store_trace, LEARNER_BOUND)), repeats
         )
 
-    kernel_ops_entry = measure_kernel_ops(learn_trace, BATCH_OP_BOUND, repeats)
     distributed_entry = measure_distributed(
         learn_trace, learner_seconds, repeats
     )
@@ -608,7 +491,6 @@ def measure_throughput(smoke: bool = False) -> dict:
             },
             "learner_distributed": distributed_entry,
             "service_sessions": service_entry,
-            "learner_batch": kernel_ops_entry,
         },
         "environment": {
             "python": platform.python_version(),
@@ -623,10 +505,9 @@ def check_regression(current: dict, baseline: dict) -> list[str]:
     """Gate failures (empty list = pass): learner throughput vs baseline.
 
     The bounded learner and store ingest must stay within
-    ``REGRESSION_TOLERANCE`` of the committed baseline, and the bulk ops
-    must keep at least ``MIN_BATCH_KERNEL_SPEEDUP`` x their per-cell
-    form on recorded cells; the parity and speedup floors of the store,
-    distributed and service entries follow.
+    ``REGRESSION_TOLERANCE`` of the committed baseline; the parity and
+    speedup floors of the store, distributed and service entries
+    follow.
     """
     failures = []
     for key in ("learner_bounded", "ingest_store"):
@@ -650,14 +531,6 @@ def check_regression(current: dict, baseline: dict) -> list[str]:
                 f"learner_store: {parity:.2f}x of the in-memory learn is "
                 f"below the {1.0 - STORE_PARITY_TOLERANCE:.2f}x parity "
                 "floor (mmap materialization too expensive)"
-            )
-    kernel_ops = current["benchmarks"].get("learner_batch")
-    if kernel_ops is not None:
-        speedup = kernel_ops["speedup_vs_loop"]
-        if speedup < MIN_BATCH_KERNEL_SPEEDUP:
-            failures.append(
-                f"learner_batch: {speedup:.2f}x over the per-cell form is "
-                f"below the {MIN_BATCH_KERNEL_SPEEDUP:.1f}x floor"
             )
     distributed = current["benchmarks"].get("learner_distributed")
     if distributed is not None:

@@ -139,14 +139,16 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget per shard; an expired shard "
                        "is retried on a rebuilt pool (default: no timeout)")
     learn.add_argument("--shard-retries", type=int, default=2,
-                       help="attempts per shard beyond the first before the "
-                       "runtime bisects it into smaller shards (default: 2)")
+                       help="attempts per shard beyond the first after a "
+                       "worker fault (a crash, hang or lost worker; a period "
+                       "no hypothesis explains is never retried) "
+                       "(default: 2)")
     learn.add_argument("--degrade", choices=("sequential", "fail"),
                        default="sequential",
-                       help="when a shard or the process pool is beyond "
-                       "recovery: 'sequential' finishes the learn in-process "
-                       "(default), 'fail' raises an error naming the shard's "
-                       "period range and attempt count")
+                       help="when a shard's worker or the process pool is "
+                       "beyond recovery: 'sequential' finishes the learn "
+                       "in-process (default), 'fail' raises an error naming "
+                       "the shard's period range and attempt count")
     learn.add_argument("--dot", help="write the dependency graph as DOT")
     learn.add_argument("--graphml", help="write the graph as GraphML")
     learn.add_argument("--model-json", help="write the model as JSON")
@@ -194,14 +196,10 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-live", type=int, default=64,
                        help="live learners before LRU eviction spools "
                        "idle sessions (default: 64)")
-    serve.add_argument("--retries", type=int, default=1,
-                       help="feed retries per period before the degrade "
-                       "mode applies (default: 1)")
     serve.add_argument("--degrade", choices=("reject", "close"),
                        default="reject",
-                       help="after exhausted retries: reject the append "
-                       "and keep the session, or close it (default: "
-                       "reject)")
+                       help="after a failed feed: reject the append and "
+                       "keep the session, or close it (default: reject)")
     serve.add_argument("--spool-dir", default=None,
                        help="directory for eviction checkpoints (default: "
                        "a private temporary directory)")
@@ -450,7 +448,6 @@ def _cmd_serve(args: argparse.Namespace, out: TextIO) -> int:
     policy = SessionPolicy(
         queue_depth=args.queue_depth,
         max_live=args.max_live,
-        retries=args.retries,
         degrade=args.degrade,
         spool_dir=args.spool_dir,
     )

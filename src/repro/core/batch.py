@@ -12,12 +12,14 @@ mask columns (multi-word for > 64 pairs):
   candidate) cell at once (:func:`batch_extension_tables`), and
   **Definition 8 weights and LUB-merge deltas** of whole pools
   (:func:`batch_set_weights`, :func:`batch_union_deltas`). These are
-  checked against the per-cell :class:`~repro.core.interning.WeightKernel`
-  ops by the tests and replayed by the kernel-op benchmark
-  (``benchmarks/throughput_json.py``); no learner calls them. They stay
-  only because the repo benchmark's tracer (``perfbench/tracing.py``)
-  patches all four bulk ops by name, and a missing name breaks its
-  ``--trace 1`` runs; delete them together with that patch list.
+  checked against :meth:`~repro.core.interning.WeightKernel.set_weight`
+  by the tests; no learner calls them. They stay, under these exact
+  names, only because the repo benchmark's tracer
+  (``perfbench/tracing.py``) patches ``batch_set_weights``,
+  ``batch_union_deltas``, ``batch_extension_tables`` and
+  ``batch_remove_redundant_masks`` by ``getattr``, and a missing name
+  breaks its ``--trace 1`` runs; delete them together with that patch
+  list.
 
 The bounded learner makes no numpy call: a message's pool is small and
 repetitive, and plain ints serve it best
@@ -143,9 +145,10 @@ def batch_union_deltas(
 ) -> list[int]:
     """LUB-merge weight deltas for many ``(base, other)`` pairs at once.
 
-    ``union_delta(base, other)`` is by definition ``set_weight(base |
-    other) - set_weight(base)`` under fixed term tables, so the bulk form
-    is two vectorized weight evaluations and a subtraction.
+    The delta of merging *other* into *base* is by definition
+    ``set_weight(base | other) - set_weight(base)`` under fixed term
+    tables, so the bulk form is two vectorized weight evaluations and a
+    subtraction.
     """
     unions = [base | other for base, other in zip(bases, others)]
     union_weights = batch_set_weights(kernel, unions)
@@ -163,8 +166,8 @@ def batch_extension_tables(
     *entries* are ``(mask, period_mask, weight)`` triples; *bits* the
     message's candidate pair bits. Returns ``(feasible, child_weights)``
     as ``(n, k)`` row lists matching the per-cell
-    ``period_mask & bit == 0`` test and
-    :meth:`~repro.core.interning.WeightKernel.extension_delta`.
+    ``period_mask & bit == 0`` test and the weight
+    ``weight + set_weight(mask | bit) - set_weight(mask)``.
     """
     term_f, term_b, term_fb, mirror_all, _word, _shift = _term_arrays(kernel)
     pair_count = mirror_all.size

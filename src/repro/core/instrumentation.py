@@ -84,9 +84,8 @@ class HotLoopCounters:
         Shards whose wall-clock deadline (``ShardPolicy.timeout``)
         expired before the worker returned.
     shard_retries:
-        Resubmissions charged to a shard's *own* failure or timeout.
-    shard_splits:
-        Bisections of a repeatedly-failing shard into two period ranges.
+        Resubmissions charged to a shard's *own* worker fault or
+        timeout (a shard's data error is never resubmitted).
     pool_rebuilds:
         Process-pool teardowns followed by a rebuild (after breakage or
         a timeout — a hung worker can only be removed by teardown).
@@ -152,8 +151,9 @@ class HotLoopCounters:
         Feed attempts that raised and were rolled back by the learner's
         all-or-nothing ``feed`` envelope.
     session_feed_retries:
-        Deterministic re-feeds charged after such an error
-        (``SessionPolicy.retries``).
+        Always 0: the service feeds a period once, because a rolled-back
+        feed of the same period would fail again. Kept so readers of
+        the profile's ``hot_loop`` keys keep working.
     session_queue_peak:
         Highest number of ops co-queued in any one session's bounded
         ingest queue (a max, like ``candidates_max``; bounded above by
@@ -177,7 +177,6 @@ class HotLoopCounters:
     shard_failures: int = 0
     shard_timeouts: int = 0
     shard_retries: int = 0
-    shard_splits: int = 0
     pool_rebuilds: int = 0
     pool_requeues: int = 0
     degraded_shards: int = 0
@@ -278,7 +277,6 @@ class HotLoopCounters:
             ("shard failures", self.shard_failures),
             ("shard timeouts", self.shard_timeouts),
             ("shard retries", self.shard_retries),
-            ("shard splits", self.shard_splits),
             ("pool rebuilds", self.pool_rebuilds),
             ("pool requeues (collateral)", self.pool_requeues),
             ("degraded shards (in-process)", self.degraded_shards),

@@ -347,41 +347,6 @@ class WeightKernel:
         return weight
 
     @hot_loop
-    def extension_delta(self, mask: int, bit: int) -> int:
-        """Weight change from ``mask`` to ``mask | bit`` (one new pair)."""
-        if mask & bit:
-            return 0
-        index = bit.bit_length() - 1
-        mirror = self._mirror[index]
-        if mask >> mirror & 1:
-            # The backward pair is already assumed: both ordered terms
-            # step from a single arrow to the mutual value.
-            return (
-                self._term_fb[index]
-                - self._term_b[index]
-                + self._term_fb[mirror]
-                - self._term_f[mirror]
-            )
-        return self._term_f[index] + self._term_b[mirror]
-
-    @hot_loop
-    def union_delta(self, base: int, other: int) -> int:
-        """Weight change from ``base`` to ``base | other`` (LUB merge)."""
-        new = other & ~base
-        if not new:
-            return 0
-        union = base | new
-        touched = new | self.table.mirror_mask(new)
-        delta = 0
-        while touched:
-            low = touched & -touched
-            index = low.bit_length() - 1
-            delta += self.term_weight(union, index)
-            delta -= self.term_weight(base, index)
-            touched ^= low
-        return delta
-
-    @hot_loop
     def flip_delta(self, mask: int, index: int) -> int:
         """Weight change of *mask* when term *index* flips to uncertain.
 

@@ -54,8 +54,8 @@ def learn_dependencies(
         (:mod:`repro.core.sharded`). By the paper's Lemma the merged
         model equals the sequential LUB; the result holds only it.
     shard_policy:
-        Fault-tolerance policy for the sharded path (timeouts, retries,
-        shard splitting, degradation to sequential learning); ``None``
+        Fault-tolerance policy for the sharded path's worker faults
+        (timeouts, retries, degradation to sequential learning); ``None``
         uses :class:`~repro.core.shardexec.ShardPolicy`'s defaults.
         Ignored when ``workers=1``.
     executor_factory:

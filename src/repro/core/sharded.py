@@ -48,12 +48,13 @@ itself and materializes only the periods it feeds.
 
 Execution is delegated to the fault-tolerant runtime in
 :mod:`repro.core.shardexec`: per-shard timeouts, bounded retries with
-deterministic backoff, automatic bisection of repeatedly-failing shards,
-executor rebuilds after ``BrokenProcessPool``, and graceful degradation
-to in-process sequential learning — all behind one
-:class:`~repro.core.shardexec.ShardPolicy` value. The LUB merge is a
-commutative, associative fold, and a bisected shard's two unions are the
-unsplit shard's union, so none of that machinery can change the answer.
+deterministic backoff, executor rebuilds after ``BrokenProcessPool``,
+and graceful degradation to in-process sequential learning — all behind
+one :class:`~repro.core.shardexec.ShardPolicy` value, and all for worker
+faults only. The LUB merge is a commutative, associative fold, so none
+of that machinery can change the answer. A shard that cannot explain a
+period has answered: the runtime raises the error the sequential learn
+raises, at the same trace period, without retrying it.
 """
 
 from __future__ import annotations
@@ -100,8 +101,6 @@ class ShardOutcome:
     stats: CoExecutionStats
     periods: int
     messages: int
-    peak_hypotheses: int
-    merge_count: int
     elapsed_seconds: float
     hot_loop: HotLoopCounters
 
@@ -133,7 +132,6 @@ def split_periods(
 def learn_shard(
     tasks: Sequence[str],
     periods: Sequence[Period],
-    bound: int,
     tolerance: float,
 ) -> ShardOutcome:
     """Learn one shard's LUB in one pass (executed in a worker process).
@@ -141,13 +139,11 @@ def learn_shard(
     The outcome keeps only the LUB of the bounded learner's output, which
     by the paper's Lemma is the union of the shard's candidate sets at
     every bound, so :func:`~repro.core.heuristic.lub_model` computes it
-    without a hypothesis pool. It raises what a
+    without a hypothesis pool — and without the bound. It raises what a
     :class:`~repro.core.heuristic.BoundedLearner` fed the shard raises,
     including :class:`~repro.errors.EmptyHypothesisSpaceError` with the
-    shard-local period index. No pool means one hypothesis and no merges.
+    shard-local period index.
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
     started = time.perf_counter()
     model = lub_model(tasks, periods, tolerance)
     counters = model.hot_loop
@@ -156,8 +152,6 @@ def learn_shard(
         stats=model.stats,
         periods=counters.periods,
         messages=counters.messages,
-        peak_hypotheses=1,
-        merge_count=0,
         elapsed_seconds=time.perf_counter() - started,
         hot_loop=counters,
     )
@@ -166,16 +160,16 @@ def learn_shard(
 def _learn_shard_args(args: tuple) -> ShardOutcome:
     """Worker entry point: one argument tuple, executed in a pool process.
 
-    The tuple is ``(tasks, periods, bound, tolerance, shard_index,
-    attempt)``; the trailing pair keys the deterministic ``REPRO_CHAOS``
+    The tuple is ``(tasks, periods, tolerance, shard_index, attempt)``;
+    the trailing pair keys the deterministic ``REPRO_CHAOS``
     fault injection (crash / hang / slow / fail by shard index and
     attempt — see :func:`repro.core.shardexec.parse_chaos`), which is
     how the chaos suite exercises every recovery path of the runtime
     without real OOMs. With ``REPRO_CHAOS`` unset this is a no-op.
     """
-    tasks, periods, bound, tolerance, index, attempt = args
+    tasks, periods, tolerance, index, attempt = args
     apply_chaos(index, attempt)
-    return learn_shard(tasks, periods, bound, tolerance)
+    return learn_shard(tasks, periods, tolerance)
 
 
 def _learn_shard_fallback(args: tuple) -> ShardOutcome:
@@ -185,8 +179,8 @@ def _learn_shard_fallback(args: tuple) -> ShardOutcome:
     degraded path exists to complete the learn when workers cannot, so
     injected worker faults must not follow the shard in-process.
     """
-    tasks, periods, bound, tolerance = args
-    return learn_shard(tasks, periods, bound, tolerance)
+    tasks, periods, tolerance = args
+    return learn_shard(tasks, periods, tolerance)
 
 
 # Boundary code: decodes the merged LUB mask back to string pairs.
@@ -198,7 +192,11 @@ def merge_outcomes(
     workers: int,
     elapsed_seconds: float,
 ) -> LearningResult:
-    """LUB-merge per-shard outcomes into one learning result."""
+    """LUB-merge per-shard outcomes into one learning result.
+
+    Each shard computes its LUB without a pool, so the result reports
+    one hypothesis at peak and no merges.
+    """
     if not outcomes:
         # Zero periods: same shape the sequential learner returns on an
         # empty trace — the single most-specific hypothesis.
@@ -224,9 +222,9 @@ def merge_outcomes(
         bound=bound,
         periods=sum(o.periods for o in outcomes),
         messages=sum(o.messages for o in outcomes),
-        peak_hypotheses=max(o.peak_hypotheses for o in outcomes),
+        peak_hypotheses=1,
         elapsed_seconds=elapsed_seconds,
-        merge_count=sum(o.merge_count for o in outcomes),
+        merge_count=0,
         workers=workers,
         hot_loop=counters,
     )
@@ -253,14 +251,15 @@ def learn_bounded_sharded(
     touching a process pool.
 
     *policy* configures the fault-tolerant runtime (timeouts, retries,
-    splitting, degradation — see
-    :class:`~repro.core.shardexec.ShardPolicy`); the default tolerates a
-    couple of worker failures and degrades to in-process sequential
-    learning rather than fail. Failures never surface as a bare
-    ``BrokenProcessPool``: a terminal shard failure raises
+    degradation — see :class:`~repro.core.shardexec.ShardPolicy`); the
+    default tolerates a couple of worker failures and degrades to
+    in-process sequential learning rather than fail. Worker failures
+    never surface as a bare ``BrokenProcessPool``: a terminal one raises
     :class:`~repro.errors.ShardExecutionError` naming the shard's period
-    range and attempt count. The runtime's recovery counters
-    (retries, splits, pool rebuilds, degraded shards) are folded into
+    range and attempt count. A period no hypothesis explains raises the
+    :class:`~repro.errors.EmptyHypothesisSpaceError` that ``workers=1``
+    raises, with the same ``period_index``. The runtime's recovery
+    counters (retries, pool rebuilds, degraded shards) are folded into
     the returned result's ``hot_loop`` counters.
 
     *executor_factory* plugs a different execution substrate into the
@@ -281,13 +280,11 @@ def learn_bounded_sharded(
     if len(shards) <= 1:
         # One shard (or an empty trace): the pool would only add overhead.
         outcomes = [
-            learn_shard(trace.tasks, shard, bound, tolerance)
-            for shard in shards
+            learn_shard(trace.tasks, shard, tolerance) for shard in shards
         ]
     else:
         runtime = ShardRuntime(
             trace.tasks,
-            bound,
             tolerance,
             workers=len(shards),
             policy=policy,

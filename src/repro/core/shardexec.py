@@ -12,30 +12,34 @@ Every shard moves through a small state machine driven by
 :class:`ShardRuntime`::
 
     queued -> running -> done
-                |-> retrying  (failure/timeout, attempts remain)
-                |-> split     (attempts exhausted, > 1 period: bisect,
-                |              requeue both halves as fresh shards)
-                |-> degraded  (attempts and splits exhausted, or the
-                               pool is irrecoverably broken: learn the
-                               shard in-process, sequentially)
+                |-> failed    (the learn's own LearningError/TraceError:
+                |              terminal, raised as the sequential learn
+                |              raises it)
+                |-> retrying  (worker fault or timeout, attempts remain)
+                |-> degraded  (attempts exhausted, or the pool is
+                               irrecoverably broken: learn the shard
+                               in-process, sequentially)
 
 and the policy knobs live in one :class:`ShardPolicy` value threaded
 from the CLI (``--shard-timeout``, ``--shard-retries``, ``--degrade``)
 through :class:`~repro.pipeline.config.PipelineConfig` down to
 :func:`~repro.core.sharded.learn_bounded_sharded`.
 
-Why retrying, splitting and degrading are all *sound*: a shard's outcome
-is a pure function of its period range (workers share no state), so a
-retry reproduces the lost outcome exactly; a bisected shard's two
-outcomes merge to the unsplit shard's (a shard's pair mask is the union
-of its periods' candidate sets, which composes); and the
-in-process fallback runs the very same
-:func:`~repro.core.sharded.learn_shard` the worker would have. The
-merged statistics are per-period sums, hence identical under any
-retry/split/completion order — pinned by
-``tests/property/test_merge_order_props.py``.
+Only faults of the machinery are retried. A shard's outcome is a pure
+function of its period range (workers share no state), so a retry
+reproduces a lost outcome exactly, and the in-process fallback runs the
+same :func:`~repro.core.sharded.learn_shard` the worker would have. By
+the same token a shard that raises a
+:class:`~repro.errors.LearningError` or :class:`~repro.errors.TraceError`
+has *answered*, and no re-run can change that: the runtime raises the
+error the sequential learn raises (for
+:class:`~repro.errors.EmptyHypothesisSpaceError`, the same
+``period_index``, counted from the start of the trace). When several
+shards fail, the earliest period wins. The merged statistics are
+per-period sums, hence identical under any retry/completion order —
+pinned by ``tests/property/test_merge_order_props.py``.
 
-Fault handling, concretely:
+Worker faults, concretely:
 
 * **Timeout** — each in-flight shard carries a wall-clock deadline. A
   hung worker cannot be cancelled through the executor API, so on expiry
@@ -48,14 +52,12 @@ Fault handling, concretely:
   every in-flight shard whose result arrived, and requeues the others
   with one attempt charged to each (the guilty shard is among them, so
   attempts still converge); a shard whose submit the broken pool
-  refused counts as in flight. It then rebuilds the executor; rebuilds
-  are budgeted by ``ShardPolicy.max_pool_rebuilds``, after which the
-  runtime degrades.
-* **Repeated failure** — a shard that keeps failing is bisected into two
-  smaller period ranges with fresh attempt budgets; a single-period
-  shard that still fails is learned in-process (``degrade=sequential``)
-  or reported with its period range and attempt count
-  (``degrade=fail`` -> :class:`~repro.errors.ShardExecutionError`).
+  refused counts as in flight. It then rebuilds the executor, at most
+  :data:`MAX_POOL_REBUILDS` times, after which the runtime degrades.
+* **Repeated failure** — a shard whose worker keeps raising is learned
+  in-process (``degrade=sequential``) or reported with its period range
+  and attempt count (``degrade=fail`` ->
+  :class:`~repro.errors.ShardExecutionError`).
 
 Chaos testing: the ``REPRO_CHAOS`` environment variable injects
 deterministic faults in the worker entry point
@@ -65,9 +67,10 @@ attempt, so every one of the paths above is exercised by
 :func:`parse_chaos` for the grammar.
 
 Backoff between retries is exponential with *deterministic* jitter (a
-pure function of shard index and attempt): the runtime must stay
-byte-reproducible under ``PYTHONHASHSEED`` variation and must not
-consume entropy, per ``tests/test_hashseed_determinism.py``.
+pure function of shard index and attempt, see :func:`backoff_seconds`):
+the runtime must stay byte-reproducible under ``PYTHONHASHSEED``
+variation and must not consume entropy, per
+``tests/test_hashseed_determinism.py``.
 
 The execution substrate itself is pluggable: the runtime mints and
 disposes of executors only through a :class:`ShardExecutorFactory`.
@@ -96,7 +99,12 @@ from dataclasses import dataclass, replace
 from typing import Callable, Protocol, Sequence
 
 from repro.core.instrumentation import HotLoopCounters
-from repro.errors import ShardExecutionError
+from repro.errors import (
+    EmptyHypothesisSpaceError,
+    LearningError,
+    ShardExecutionError,
+    TraceError,
+)
 from repro.trace.columnar import LazyPeriods
 from repro.trace.period import Period
 
@@ -111,6 +119,17 @@ HANG_SECONDS = 3600.0
 #: Coordinator poll granularity when no deadline or backoff is nearer.
 TICK_SECONDS = 0.1
 
+#: Base of the exponential retry backoff, in seconds (see
+#: :func:`backoff_seconds`).
+BACKOFF_SECONDS = 0.05
+
+#: Upper bound on a single backoff wait, before jitter.
+BACKOFF_CAP_SECONDS = 1.0
+
+#: Executor rebuilds allowed after a broken pool before the runtime
+#: degrades (or, under ``degrade='fail'``, raises).
+MAX_POOL_REBUILDS = 2
+
 
 # ---------------------------------------------------------------------------
 # Policy
@@ -120,6 +139,11 @@ TICK_SECONDS = 0.1
 class ShardPolicy:
     """Fault-tolerance knobs for one sharded learn.
 
+    These apply to worker faults only; a shard's
+    :class:`~repro.errors.LearningError` or
+    :class:`~repro.errors.TraceError` is never retried (see the module
+    notes).
+
     Attributes
     ----------
     timeout:
@@ -128,21 +152,7 @@ class ShardPolicy:
         and the pool is rebuilt (a hung worker cannot be cancelled).
     retries:
         Attempts a shard may consume beyond its first run before the
-        runtime escalates to splitting.
-    backoff:
-        Base of the exponential retry backoff, in seconds. Attempt ``k``
-        waits ``backoff * 2**k`` (capped at :attr:`backoff_cap`), scaled
-        by a deterministic jitter in ``[1.0, 1.25)`` derived from the
-        shard index and attempt — no entropy, so runs stay reproducible.
-    backoff_cap:
-        Upper bound on a single backoff wait.
-    max_splits:
-        How many times a failing shard's lineage may be bisected before
-        the failure is terminal. Splitting halves the period range, so
-        depth ``k`` isolates a poison period among ``2**k``.
-    max_pool_rebuilds:
-        Executor rebuilds allowed after ``BrokenProcessPool`` before the
-        pool is considered irrecoverable and the runtime degrades.
+        ``degrade`` mode applies.
     degrade:
         What to do when a shard (or the whole pool) is beyond retrying:
         ``"sequential"`` learns the remaining work in-process —
@@ -153,41 +163,44 @@ class ShardPolicy:
 
     timeout: float | None = None
     retries: int = 2
-    backoff: float = 0.05
-    backoff_cap: float = 1.0
-    max_splits: int = 4
-    max_pool_rebuilds: int = 2
     degrade: str = "sequential"
 
     def __post_init__(self) -> None:
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff < 0:
-            raise ValueError(f"backoff must be >= 0, got {self.backoff}")
-        if self.max_splits < 0:
-            raise ValueError(f"max_splits must be >= 0, got {self.max_splits}")
-        if self.max_pool_rebuilds < 0:
-            raise ValueError(
-                f"max_pool_rebuilds must be >= 0, got {self.max_pool_rebuilds}"
-            )
         if self.degrade not in ("sequential", "fail"):
             raise ValueError(
                 "degrade must be 'sequential' or 'fail', "
                 f"got {self.degrade!r}"
             )
 
-    def backoff_seconds(self, index: int, attempt: int) -> float:
-        """Deterministic exponential backoff with jitter for one retry.
 
-        Pure in (index, attempt): no clock, no entropy. The jitter
-        spreads simultaneous retries of different shards in time without
-        making any run irreproducible.
-        """
-        base = min(self.backoff_cap, self.backoff * (2 ** max(attempt, 0)))
-        jitter = 1.0 + ((index * 73 + attempt * 37) % 101) / 404.0
-        return base * jitter
+def backoff_seconds(index: int, attempt: int) -> float:
+    """Deterministic exponential backoff with jitter for one retry.
+
+    Attempt ``k`` waits ``BACKOFF_SECONDS * 2**k``, capped at
+    :data:`BACKOFF_CAP_SECONDS`, scaled by a jitter in ``[1.0, 1.25)``.
+    Pure in (index, attempt): no clock, no entropy. The jitter spreads
+    simultaneous retries of different shards in time without making any
+    run irreproducible.
+    """
+    base = min(BACKOFF_CAP_SECONDS, BACKOFF_SECONDS * (2 ** max(attempt, 0)))
+    jitter = 1.0 + ((index * 73 + attempt * 37) % 101) / 404.0
+    return base * jitter
+
+
+def _is_data_error(error: BaseException) -> bool:
+    """True when *error* is the learn's answer about its periods.
+
+    A retry, a rebuilt pool or the fallback would raise it again.
+    :class:`~repro.errors.ShardExecutionError` is the runtime's own
+    verdict on the machinery and does not count.
+    """
+    return isinstance(error, (LearningError, TraceError)) and not isinstance(
+        error, ShardExecutionError
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +329,8 @@ def apply_chaos(index: int, attempt: int) -> None:
 class ShardExecutorFactory(Protocol):
     """The pluggable executor seam under :class:`ShardRuntime`.
 
-    The runtime's state machine (timeouts, retries, bisection, pool
-    rebuild, degradation) is executor-agnostic: everything it needs from
+    The runtime's state machine (timeouts, retries, pool rebuild,
+    degradation) is executor-agnostic: everything it needs from
     the execution substrate is the ability to mint a fresh
     ``concurrent.futures``-style executor and to dispose of one that may
     contain hung or dead workers. A factory provides exactly that pair,
@@ -387,20 +400,21 @@ class ShardJob:
     """One schedulable unit: a contiguous period range plus its history.
 
     ``index`` is stable across retries (it keys chaos injection and
-    backoff jitter); split children receive fresh, never-reused indices
-    so injected faults do not follow a lineage across a bisection.
+    backoff jitter). ``start`` is the position of the shard's first
+    period in the trace, which turns a shard-local
+    :class:`~repro.errors.EmptyHypothesisSpaceError` into the sequential
+    learn's.
 
     ``periods`` is a materialized tuple for in-memory traces, but lazy
     :class:`~repro.trace.columnar.LazyPeriods` views (the store's
-    zero-copy ranges) are kept intact: slicing them for a bisection is
-    O(1), and pickling one for a worker ships a ``(store_path,
-    period_range)`` handle instead of the events.
+    zero-copy ranges) are kept intact: pickling one for a worker ships a
+    ``(store_path, period_range)`` handle instead of the events.
     """
 
     index: int
     periods: Sequence[Period]
+    start: int = 0
     attempt: int = 0
-    splits: int = 0
     not_before: float = 0.0
 
     @property
@@ -426,7 +440,7 @@ class ShardRuntime:
 
     Parameters
     ----------
-    tasks, bound, tolerance:
+    tasks, tolerance:
         The learning arguments shipped to every worker.
     workers:
         Pool size (and in-flight cap).
@@ -434,13 +448,13 @@ class ShardRuntime:
         The :class:`ShardPolicy` in force.
     worker:
         Module-level callable executed in pool processes. Receives one
-        argument tuple ``(tasks, periods, bound, tolerance, index,
-        attempt)`` and returns a shard outcome. Must be picklable
-        (lint rule RL004 guards the submission sites below).
+        argument tuple ``(tasks, periods, tolerance, index, attempt)``
+        and returns a shard outcome. Must be picklable (lint rule RL004
+        guards the submission sites below).
     fallback:
         In-process callable for degraded learning. Receives
-        ``(tasks, periods, bound, tolerance)`` and returns a shard
-        outcome; never subject to chaos injection.
+        ``(tasks, periods, tolerance)`` and returns a shard outcome;
+        never subject to chaos injection.
     executor_factory:
         The :class:`ShardExecutorFactory` supplying executors; ``None``
         (the default) uses :class:`ProcessExecutorFactory` — local OS
@@ -448,7 +462,7 @@ class ShardRuntime:
         passes a :class:`repro.distributed.TcpExecutorFactory` here and
         the state machine drives remote workers unchanged.
 
-    The instance's :attr:`counters` accumulate the failure/retry/split/
+    The instance's :attr:`counters` accumulate the failure/retry/
     rebuild/degradation tallies that
     :func:`~repro.core.sharded.learn_bounded_sharded` folds into the
     merged result's :class:`~repro.core.instrumentation.HotLoopCounters`.
@@ -457,7 +471,6 @@ class ShardRuntime:
     def __init__(
         self,
         tasks: Sequence[str],
-        bound: int,
         tolerance: float,
         workers: int,
         policy: ShardPolicy,
@@ -466,7 +479,6 @@ class ShardRuntime:
         executor_factory: ShardExecutorFactory | None = None,
     ) -> None:
         self.tasks = tuple(tasks)
-        self.bound = bound
         self.tolerance = tolerance
         self.workers = workers
         self.policy = policy
@@ -478,31 +490,38 @@ class ShardRuntime:
             else ProcessExecutorFactory(workers)
         )
         self.counters = HotLoopCounters()
-        self._next_index = 0
+        #: The earliest data error seen: (trace position, error).
+        self._failure: tuple[int, BaseException] | None = None
 
     # -- public entry ----------------------------------------------------
 
     def run(self, shards: Sequence[Sequence[Period]]) -> list:
-        """Learn every shard, tolerating faults; outcomes in any order."""
-        queue: deque[ShardJob] = deque(
-            ShardJob(
-                index=i,
-                periods=(
-                    shard if isinstance(shard, LazyPeriods) else tuple(shard)
-                ),
-            )
-            for i, shard in enumerate(shards)
-        )
-        self._next_index = len(queue)
+        """Learn every shard, tolerating faults; outcomes in any order.
+
+        Raises the earliest shard's data error (a
+        :class:`~repro.errors.LearningError` or
+        :class:`~repro.errors.TraceError`) once every shard that starts
+        before it has finished.
+        """
+        queue: deque[ShardJob] = deque()
+        start = 0
+        for index, shard in enumerate(shards):
+            periods = shard if isinstance(shard, LazyPeriods) else tuple(shard)
+            queue.append(ShardJob(index=index, periods=periods, start=start))
+            start += len(periods)
         outcomes: list = []
         inflight: dict[Future, tuple[ShardJob, float | None]] = {}
         pool: Executor | None = None
         broken_rebuilds = 0
         degraded = False
         try:
-            while queue or inflight:
+            while True:
+                if self._failure is not None:
+                    self._drop_later(queue, inflight)
+                if not (queue or inflight):
+                    break
                 if degraded:
-                    outcomes.append(self._run_fallback(queue.popleft()))
+                    self._run_fallback(queue.popleft(), outcomes)
                     continue
                 if pool is None:
                     pool = self._new_pool()
@@ -526,14 +545,14 @@ class ShardRuntime:
                 # The pool is broken: the guilty shard cannot be told
                 # apart from the bystanders, so every in-flight shard
                 # without a result is charged one attempt and requeued,
-                # and the executor is rebuilt within the policy's budget.
+                # and the executor is rebuilt within the budget.
                 self._teardown(pool)
                 pool = None
                 self._settle_inflight(
                     inflight, queue, outcomes, charge_attempt=True
                 )
                 broken_rebuilds += 1
-                if broken_rebuilds > self.policy.max_pool_rebuilds:
+                if broken_rebuilds > MAX_POOL_REBUILDS:
                     degraded = self._degrade_or_raise(queue)
                 else:
                     self.counters.pool_rebuilds += 1
@@ -543,19 +562,14 @@ class ShardRuntime:
             extra = getattr(self.factory, "counters", None)
             if extra is not None:
                 self.counters.merge(extra)
+        if self._failure is not None:
+            raise self._failure[1]
         return outcomes
 
     # -- scheduling ------------------------------------------------------
 
     def _args(self, job: ShardJob) -> tuple:
-        return (
-            self.tasks,
-            job.periods,
-            self.bound,
-            self.tolerance,
-            job.index,
-            job.attempt,
-        )
+        return (self.tasks, job.periods, self.tolerance, job.index, job.attempt)
 
     def _submit_ready(
         self,
@@ -641,6 +655,8 @@ class ShardRuntime:
         )
         broken = False
         for future in done:
+            if future not in inflight:
+                continue  # dropped behind an earlier data error
             job, _ = inflight[future]
             try:
                 outcome = future.result()
@@ -649,6 +665,10 @@ class ShardRuntime:
                 continue
             except Exception as error:
                 del inflight[future]
+                if _is_data_error(error):
+                    self._record_failure(job, error)
+                    self._drop_later(queue, inflight)
+                    continue
                 self.counters.shard_failures += 1
                 self._handle_failure(job, error, queue, outcomes)
                 continue
@@ -686,9 +706,7 @@ class ShardRuntime:
                 f"shard exceeded --shard-timeout="
                 f"{self.policy.timeout:g}s"
             )
-            self._handle_failure(
-                job, error, queue, outcomes, timed_out=True
-            )
+            self._handle_failure(job, error, queue, outcomes)
         self._teardown(pool)
         self._settle_inflight(inflight, queue, outcomes, charge_attempt=False)
         self.counters.pool_rebuilds += 1
@@ -700,48 +718,62 @@ class ShardRuntime:
         error: BaseException,
         queue: deque[ShardJob],
         outcomes: list,
-        timed_out: bool = False,
     ) -> None:
-        """retrying -> split -> degraded/fail escalation for one shard."""
+        """retrying -> degraded/fail escalation for one worker fault."""
         if job.attempt < self.policy.retries:
             retry = self._advanced(job)
-            retry.not_before = time.monotonic() + self.policy.backoff_seconds(
+            retry.not_before = time.monotonic() + backoff_seconds(
                 job.index, job.attempt
             )
             self.counters.shard_retries += 1
             queue.append(retry)
-            return
-        if len(job.periods) > 1 and job.splits < self.policy.max_splits:
-            middle = len(job.periods) // 2
-            self.counters.shard_splits += 1
-            for half in (job.periods[:middle], job.periods[middle:]):
-                queue.append(
-                    ShardJob(
-                        index=self._fresh_index(),
-                        periods=half,
-                        splits=job.splits + 1,
-                    )
-                )
             return
         if self.policy.degrade == "sequential":
             # Terminal failure of this one shard: learn it in-process.
             # (For a timed-out shard, the hung worker is dealt with by
             # the caller's pool teardown; the fallback itself cannot
             # hang — chaos only fires in pool workers.)
-            outcomes.append(self._run_fallback(job))
+            self._run_fallback(job, outcomes)
             return
         raise ShardExecutionError(
-            f"{job.describe()} failed after {job.attempt + 1} attempt(s) "
-            f"with no split budget left: {error}"
+            f"{job.describe()} failed after {job.attempt + 1} attempt(s): "
+            f"{error}"
         ) from error
+
+    def _record_failure(self, job: ShardJob, error: BaseException) -> None:
+        """Keep *error* if it is the earliest data error so far.
+
+        A shard counts an :class:`~repro.errors.EmptyHypothesisSpaceError`
+        period from its own start; the kept copy counts from the trace's.
+        Any other data error is placed at the shard's first period.
+        """
+        position = job.start
+        if isinstance(error, EmptyHypothesisSpaceError):
+            position += error.period_index
+            error = EmptyHypothesisSpaceError(position, error.message_index)
+        if self._failure is None or position < self._failure[0]:
+            self._failure = (position, error)
+
+    def _drop_later(
+        self,
+        queue: deque[ShardJob],
+        inflight: dict[Future, tuple[ShardJob, float | None]],
+    ) -> None:
+        """Forget every job that starts at or after the recorded failure:
+        it cannot change what the learn raises. Its worker, if any, dies
+        with the executor's teardown."""
+        position = self._failure[0]
+        kept = [job for job in queue if job.start < position]
+        queue.clear()
+        queue.extend(kept)
+        for future in [
+            future for future, (job, _) in inflight.items()
+            if job.start >= position
+        ]:
+            del inflight[future]
 
     def _advanced(self, job: ShardJob) -> ShardJob:
         return replace(job, attempt=job.attempt + 1, not_before=0.0)
-
-    def _fresh_index(self) -> int:
-        index = self._next_index
-        self._next_index += 1
-        return index
 
     def _settle_inflight(
         self,
@@ -753,34 +785,38 @@ class ShardRuntime:
         """Settle the in-flight jobs of a torn-down executor.
 
         Runs after the teardown, when the executor has resolved every
-        future it ever will. A job whose result arrived is done, whether
-        the runtime saw the result before the break or after it; every
-        other job is requeued and charged as one pool requeue. So the
-        counters follow the jobs' states, not the order in which the
+        future it ever will. A job whose result or data error arrived is
+        done, whether the runtime saw it before the break or after it;
+        every other job is requeued and charged as one pool requeue. So
+        the counters follow the jobs' states, not the order in which the
         executor reported them.
         """
         for future, (job, _) in inflight.items():
-            if (
-                future.done()
-                and not future.cancelled()
-                and future.exception() is None
-            ):
-                outcomes.append(future.result())
-                continue
+            if future.done() and not future.cancelled():
+                error = future.exception()
+                if error is None:
+                    outcomes.append(future.result())
+                    continue
+                if _is_data_error(error):
+                    self._record_failure(job, error)
+                    continue
             queue.append(self._advanced(job) if charge_attempt else job)
             self.counters.pool_requeues += 1
         inflight.clear()
 
     # -- degraded path ---------------------------------------------------
 
-    def _run_fallback(self, job: ShardJob):
+    def _run_fallback(self, job: ShardJob, outcomes: list) -> None:
         """Learn one shard in-process (the ``degraded`` state)."""
         self.counters.degraded_shards += 1
         try:
-            return self.fallback(
-                (self.tasks, job.periods, self.bound, self.tolerance)
+            outcomes.append(
+                self.fallback((self.tasks, job.periods, self.tolerance))
             )
         except Exception as error:
+            if _is_data_error(error):
+                self._record_failure(job, error)
+                return
             raise ShardExecutionError(
                 f"{job.describe()} failed even in the in-process "
                 f"sequential fallback: {error}"
@@ -793,7 +829,7 @@ class ShardRuntime:
         detail = f"; next pending was {survivor.describe()}" if survivor else ""
         raise ShardExecutionError(
             "process pool broke more than "
-            f"{self.policy.max_pool_rebuilds} time(s) and degrade='fail'"
+            f"{MAX_POOL_REBUILDS} time(s) and degrade='fail'"
             f"{detail}"
         )
 
@@ -813,7 +849,10 @@ class ShardRuntime:
 
 
 __all__ = [
+    "BACKOFF_CAP_SECONDS",
+    "BACKOFF_SECONDS",
     "CHAOS_ENV",
+    "MAX_POOL_REBUILDS",
     "NETWORK_KINDS",
     "ChaosFault",
     "ChaosSpec",
@@ -823,5 +862,6 @@ __all__ = [
     "ShardPolicy",
     "ShardRuntime",
     "apply_chaos",
+    "backoff_seconds",
     "parse_chaos",
 ]

@@ -5,8 +5,10 @@ handshakes ``repro worker`` daemons as they connect, and exposes the
 one method :class:`~repro.core.shardexec.ShardRuntime` actually calls —
 ``submit`` — plus the breakage semantics the runtime's state machine
 expects (``BrokenExecutor`` when the fleet is gone). The runtime's
-retry/split/degrade machinery therefore drives remote workers through
-exactly the code path it drives local process pools through.
+retry/rebuild/degrade machinery therefore drives remote workers through
+exactly the code path it drives local process pools through. A worker
+forwards a shard's exception verbatim, so a shard's data error reaches
+the runtime as the error itself, never retried.
 
 Scheduling is least-loaded with work stealing:
 
@@ -108,13 +110,13 @@ def _shard_identity(args: tuple) -> tuple[int, int]:
     """Best-effort (shard index, attempt) from a runtime submit call.
 
     :class:`~repro.core.shardexec.ShardRuntime` submits
-    ``(worker_fn, (tasks, periods, bound, tolerance, index, attempt))``;
-    the identity keys deterministic network chaos on the worker. Any
-    other argument shape gets a neutral identity (chaos plans simply
-    won't match it).
+    ``(worker_fn, (tasks, periods, tolerance, index, attempt))``; the
+    identity keys deterministic network chaos on the worker. Any other
+    argument shape gets a neutral identity (chaos plans simply won't
+    match it).
     """
-    if args and isinstance(args[-1], tuple) and len(args[-1]) >= 6:
-        index, attempt = args[-1][4], args[-1][5]
+    if args and isinstance(args[-1], tuple) and len(args[-1]) >= 5:
+        index, attempt = args[-1][3], args[-1][4]
         if isinstance(index, int) and isinstance(attempt, int):
             return index, attempt
     return -1, 0

@@ -38,8 +38,9 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 
 #: Wire protocol version. Bump on any message-shape change; coordinator
-#: and worker refuse to talk across versions.
-PROTOCOL_VERSION = 1
+#: and worker refuse to talk across versions. Version 2: a shard task's
+#: arguments are ``(tasks, periods, tolerance, index, attempt)``.
+PROTOCOL_VERSION = 2
 
 #: Default seconds between worker heartbeats.
 HEARTBEAT_INTERVAL = 0.5

@@ -55,11 +55,13 @@ class ShardExecutionError(LearningError):
     """A shard of a parallel learn failed beyond the recovery policy.
 
     Raised by the fault-tolerant shard runtime
-    (:mod:`repro.core.shardexec`) when a shard exhausts its retry and
-    split budgets — or the process pool is irrecoverably broken — and
-    the policy forbids degrading to in-process sequential learning
+    (:mod:`repro.core.shardexec`) when a shard's worker keeps failing
+    past its retry budget — or the process pool is irrecoverably broken
+    — and the policy forbids degrading to in-process sequential learning
     (``degrade='fail'``). The message always names the failing shard's
     period range and attempt count, never a bare ``BrokenProcessPool``.
+    A shard that raises a :class:`LearningError` of its own is not a
+    fault of the runtime: that error surfaces unchanged.
     """
 
 
@@ -82,6 +84,11 @@ class EmptyHypothesisSpaceError(LearningError):
             f"{detail}: the trace violates the model-of-computation "
             "assumptions or the hypothesis lattice is not expressive enough"
         )
+
+    def __reduce__(self):
+        # Rebuild from the indices: the default passes the formatted
+        # message back in as ``period_index`` and nests it in itself.
+        return type(self), (self.period_index, self.message_index)
 
 
 class AnalysisError(ReproError):

@@ -54,12 +54,13 @@ class PipelineConfig:
         onto this field.
     shard_policy:
         Fault-tolerance policy for shard-parallel learning — per-shard
-        timeout, retry/split budgets, and the degradation mode when the
-        process pool is irrecoverable (see
-        :class:`~repro.core.shardexec.ShardPolicy`). ``None`` uses the
-        defaults; ignored when ``workers`` is 1. The CLI's
-        ``--shard-timeout`` / ``--shard-retries`` / ``--degrade`` flags
-        map onto this field.
+        timeout, retry budget, and the degradation mode when a worker
+        or the process pool is beyond recovery (see
+        :class:`~repro.core.shardexec.ShardPolicy`). It covers worker
+        faults only: a period no hypothesis explains raises the same
+        error at any worker count. ``None`` uses the defaults; ignored
+        when ``workers`` is 1. The CLI's ``--shard-timeout`` /
+        ``--shard-retries`` / ``--degrade`` flags map onto this field.
     max_hypotheses:
         Safety cap for the exact algorithm.
     analyze_modes / analyze_curve:

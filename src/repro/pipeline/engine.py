@@ -135,8 +135,6 @@ class PipelineRun:
                 data["learn"]["shard_policy"] = {
                     "timeout": policy.timeout,
                     "retries": policy.retries,
-                    "max_splits": policy.max_splits,
-                    "max_pool_rebuilds": policy.max_pool_rebuilds,
                     "degrade": policy.degrade,
                 }
             hot = getattr(result, "hot_loop", None)

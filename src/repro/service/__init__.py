@@ -15,7 +15,7 @@ Public surface:
 * :class:`~repro.service.client.ServiceClient` — the synchronous
   client library.
 * :class:`~repro.service.config.SessionPolicy` — queue bounds,
-  eviction pressure, retry/degrade policy.
+  eviction pressure, degrade policy.
 
 Everything here is the asyncio side of the RL008 boundary; callers
 use the synchronous wrappers and never touch an event loop.

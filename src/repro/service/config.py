@@ -1,22 +1,22 @@
 """Session-service policy: queue bounds, eviction pressure, degradation.
 
 One frozen :class:`SessionPolicy` drives the whole daemon, mirroring how
-:class:`~repro.core.shardexec.ShardPolicy` drives the shard runtime —
-and deliberately reusing its vocabulary: ``retries`` is a deterministic
-re-attempt budget, ``backoff`` spaces the attempts, and ``degrade``
-names what happens when the budget runs out. The difference is the
-failure domain: a shard failure is retried because pool children die
-for environmental reasons; a session feed failure is usually a *trace*
-problem (an unknown task, an empty hypothesis space), so the default
-degradation rejects the offending append and keeps the session alive
-rather than tearing anything down.
+:class:`~repro.core.shardexec.ShardPolicy` drives the shard runtime, and
+sharing its rule: retry only what a retry can fix. A shard is retried
+when its worker dies; a session feed runs on the daemon's own event
+loop, so a failed feed is the learner's answer about the period (an
+unknown task, an empty hypothesis space). The learner rolls it back,
+and a second feed of the same period would fail the same way. So a
+period is fed once, and ``degrade`` names what follows a failure: the
+default rejects the offending append and keeps the session alive rather
+than tearing anything down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-#: Degradation modes when an append's feed retries are exhausted.
+#: Degradation modes when an append's feed fails.
 #: ``reject`` errors the append and keeps the session (the learner is
 #: untouched by the failed period — the all-or-nothing ``feed``
 #: contract); ``close`` tears the session down and reports it failed.
@@ -42,12 +42,6 @@ class SessionPolicy:
         Live learners held in memory before LRU eviction starts
         checkpointing idle sessions to the spool. Busy sessions are
         never evicted, so the live count can transiently exceed this.
-    retries:
-        Feed re-attempts per period after a rolled-back failure, before
-        the ``degrade`` mode applies.
-    backoff:
-        Seconds slept between those attempts (scaled by the attempt
-        number, like the shard runtime's deterministic backoff).
     degrade:
         One of :data:`DEGRADE_MODES`.
     spool_dir:
@@ -57,8 +51,6 @@ class SessionPolicy:
 
     queue_depth: int = 8
     max_live: int = 64
-    retries: int = 1
-    backoff: float = 0.0
     degrade: str = "reject"
     spool_dir: str | None = None
 
@@ -67,10 +59,6 @@ class SessionPolicy:
             raise ValueError("queue_depth must be at least 1")
         if self.max_live < 1:
             raise ValueError("max_live must be at least 1")
-        if self.retries < 0:
-            raise ValueError("retries must be non-negative")
-        if self.backoff < 0:
-            raise ValueError("backoff must be non-negative")
         if self.degrade not in DEGRADE_MODES:
             raise ValueError(
                 f"degrade must be one of {DEGRADE_MODES}, got {self.degrade!r}"

@@ -16,10 +16,11 @@ loops here). The shape:
   Python, so a thread pool would add a hand-off per period and no
   parallelism;
 * op failures are contained per session: a feed that raises is rolled
-  back by the learner's all-or-nothing ``feed`` envelope, charged to
-  the :class:`~repro.service.config.SessionPolicy` retry budget, and
-  degraded per policy (reject the append, or close the session) — the
-  daemon itself never dies from a session's trace;
+  back by the learner's all-or-nothing ``feed`` envelope, charged once
+  to ``feed_errors`` (never retried: the same period would fail again),
+  and degraded per the :class:`~repro.service.config.SessionPolicy`
+  (reject the append, or close the session) — the daemon itself never
+  dies from a session's trace;
 * LRU eviction checkpoints idle sessions to the spool when the live
   count exceeds ``max_live``; any later op on the session id resumes
   it transparently (see :mod:`repro.service.eviction`).
@@ -163,7 +164,6 @@ class ServiceServer:
             "policy": {
                 "queue_depth": self.policy.queue_depth,
                 "max_live": self.policy.max_live,
-                "retries": self.policy.retries,
                 "degrade": self.policy.degrade,
             },
             "live_sessions": len(manager.live),
@@ -430,8 +430,12 @@ class ServiceServer:
         session.appends += 1
         periods = self._periods_of(session, message)
         for period in periods:
-            error = await self._feed_with_retries(session, period)
-            if error is not None:
+            try:
+                session.learner.feed(period)
+            except Exception as error:  # noqa: BLE001 - charged to policy
+                # The all-or-nothing feed rolled the period back, and
+                # feeding it again would raise again.
+                session.feed_errors += 1
                 return await self._degrade(session, responder, error)
         await self._reply(
             responder,
@@ -466,35 +470,10 @@ class ServiceServer:
         session.pending_events = []
         return [period]
 
-    async def _feed_with_retries(
-        self, session: Session, period: Period
-    ) -> Exception | None:
-        """Feed one period under the retry budget; None on success.
-
-        A failed feed is rolled back by the learner (the all-or-nothing
-        ``feed`` contract), so retrying — and giving up — both leave
-        the learner exactly as it was.
-        """
-        manager = self.manager
-        assert manager is not None
-        attempt = 0
-        while True:
-            try:
-                session.learner.feed(period)
-                return None
-            except Exception as error:  # noqa: BLE001 - charged to policy
-                session.feed_errors += 1
-                if attempt >= self.policy.retries:
-                    return error
-                attempt += 1
-                session.feed_retries += 1
-                if self.policy.backoff:
-                    await asyncio.sleep(self.policy.backoff * attempt)
-
     async def _degrade(
         self, session: Session, responder: _Responder | None, error: Exception
     ) -> bool:
-        """Apply the policy's degradation mode after an exhausted op."""
+        """Apply the policy's degradation mode after a failed op."""
         manager = self.manager
         assert manager is not None
         if self.policy.degrade == "close":

@@ -137,7 +137,6 @@ class Session:
         self.appends = 0
         self.duplicates = 0
         self.feed_errors = 0
-        self.feed_retries = 0
         self.resumed = 0
         self.queue_peak = 0
 
@@ -161,7 +160,6 @@ class Session:
         counters.session_appends = self.appends
         counters.session_duplicates = self.duplicates
         counters.session_feed_errors = self.feed_errors
-        counters.session_feed_retries = self.feed_retries
         counters.session_queue_peak = self.queue_peak
         return counters
 
@@ -185,7 +183,6 @@ class Session:
                 "appends": self.appends,
                 "duplicates": self.duplicates,
                 "feed_errors": self.feed_errors,
-                "feed_retries": self.feed_retries,
                 "resumed": self.resumed,
                 "queue_peak": self.queue_peak,
                 "pending_events": len(self.pending_events),

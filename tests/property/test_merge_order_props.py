@@ -1,13 +1,12 @@
 """Merge-order properties: the shard LUB fold is order- and shape-free.
 
 The fault-tolerant runtime (:mod:`repro.core.shardexec`) completes
-shards in whatever order retries, pool rebuilds, and bisection happen to
-produce, and bisection replaces a shard with a finer partition of the
-same periods. These properties pin why none of that can change the
-answer: :func:`~repro.core.sharded.merge_outcomes` is a commutative,
-associative fold (mask union + stats sum), so any permutation of the
-outcomes and any split-refinement of the shard partition yields an
-identical pair-set mask and identical summed statistics.
+shards in whatever order retries and pool rebuilds happen to produce,
+and the worker count picks the partition. These properties pin why
+neither can change the answer: :func:`~repro.core.sharded.merge_outcomes`
+is a commutative, associative fold (mask union + stats sum), so any
+permutation of the outcomes and any refinement of the shard partition
+yields an identical pair-set mask and identical summed statistics.
 
 The distributed runtime adds a wire in the middle: outcomes come back
 as pickled result frames that network chaos may duplicate or deliver
@@ -45,10 +44,8 @@ def small_trace(seed: int, periods: int = 6):
     return simulator.run(periods).trace
 
 
-def shard_outcomes(trace, shards, bound):
-    return [
-        learn_shard(trace.tasks, shard, bound, 0.0) for shard in shards
-    ]
+def shard_outcomes(trace, shards):
+    return [learn_shard(trace.tasks, shard, 0.0) for shard in shards]
 
 
 def stats_dict(stats):
@@ -61,11 +58,11 @@ def stats_dict(stats):
 
 
 def refine(shards, cuts):
-    """Bisect each shard once at the given relative cut points.
+    """Cut each shard once at the given relative cut points.
 
-    Mirrors what the runtime's bisection does to a repeatedly-failing
-    shard: replace it with contiguous sub-shards covering the same
-    periods. ``cuts[i] == 0`` leaves shard *i* whole.
+    Replaces a shard with contiguous sub-shards covering the same
+    periods, as a larger worker count would. ``cuts[i] == 0`` leaves
+    shard *i* whole.
     """
     fine = []
     for shard, cut in zip(shards, cuts):
@@ -88,7 +85,7 @@ def refine(shards, cuts):
 def test_merge_is_permutation_invariant(seed, bound, workers, rng):
     """Any completion order of the same outcomes merges identically."""
     trace = small_trace(seed)
-    outcomes = shard_outcomes(trace, split_periods(trace.periods, workers), bound)
+    outcomes = shard_outcomes(trace, split_periods(trace.periods, workers))
     shuffled = list(outcomes)
     rng.shuffle(shuffled)
     base = merge_outcomes(trace.tasks, outcomes, bound, workers, 0.0)
@@ -111,13 +108,13 @@ def test_merge_is_permutation_invariant(seed, bound, workers, rng):
     st.lists(st.integers(0, 11), min_size=4, max_size=4),
 )
 def test_merge_is_refinement_invariant(seed, bound, workers, cuts):
-    """Bisecting shards (what the runtime does on repeated failure)
-    yields an identical pair-set mask and identical summed stats."""
+    """Cutting shards finer yields an identical pair-set mask and
+    identical summed stats."""
     trace = small_trace(seed)
     shards = split_periods(trace.periods, workers)
     fine = refine(shards, cuts)
-    coarse = shard_outcomes(trace, shards, bound)
-    refined = shard_outcomes(trace, fine, bound)
+    coarse = shard_outcomes(trace, shards)
+    refined = shard_outcomes(trace, fine)
 
     coarse_mask = 0
     for outcome in coarse:
@@ -159,9 +156,7 @@ def test_wire_round_trip_under_chaotic_delivery_merges_identically(
     arrival order — must merge bit-identically to the clean fold.
     """
     trace = small_trace(seed)
-    outcomes = shard_outcomes(
-        trace, split_periods(trace.periods, workers), bound
-    )
+    outcomes = shard_outcomes(trace, split_periods(trace.periods, workers))
     base = merge_outcomes(trace.tasks, outcomes, bound, workers, 0.0)
 
     # Dispatch: every copy gets a worker and that worker's next seq
@@ -204,7 +199,7 @@ def test_merged_stats_equal_sequential_stats(seed, bound, workers):
     """Summed shard statistics are *exactly* the sequential run's —
     the certainty dimension of the merge is a theorem, not a LUB."""
     trace = small_trace(seed)
-    outcomes = shard_outcomes(trace, split_periods(trace.periods, workers), bound)
+    outcomes = shard_outcomes(trace, split_periods(trace.periods, workers))
     merged = merge_outcomes(trace.tasks, outcomes, bound, workers, 0.0)
     sequential = learn_bounded(trace, bound)
     assert stats_dict(merged.stats) == stats_dict(sequential.stats)

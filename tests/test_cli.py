@@ -232,6 +232,38 @@ class TestErrors:
         with pytest.raises(SystemExit):
             run_cli("learn", trace_file, "--format", "yaml")
 
+    @pytest.mark.parametrize("kind", ["empty", "crowded"])
+    def test_infeasible_trace_fails_alike_at_any_worker_count(
+        self, tmp_path, kind
+    ):
+        """Sharding does not change the error: the same line (naming
+        the same trace period) and the same exit code as one worker."""
+        from repro.trace.period import Period
+        from repro.trace.trace import Trace
+        from tests.property.test_lub_model_props import unexplained_period
+
+        path = str(tmp_path / "trace.log")
+        assert run_cli(
+            "simulate", "simple", "--periods", "12", "--seed", "5",
+            "--out", path,
+        )[0] == 0
+        trace = read_trace(path)
+        rows = list(trace.periods)
+        rows.insert(7, unexplained_period(trace.tasks, kind))
+        save_trace(
+            Trace(trace.tasks, [Period(p.events, index=i)
+                                for i, p in enumerate(rows)]),
+            path,
+        )
+        sequential = run_cli("learn", path, "--bound", "8", "--workers", "1")
+        assert sequential[0] == 2
+        assert sequential[1].startswith(
+            "error: hypothesis space became empty while processing period 7:"
+        )
+        assert run_cli("learn", path, "--bound", "8", "--workers", "2") == (
+            sequential
+        )
+
 
 class TestAnalyze:
     def test_modes_summary(self, trace_file):

@@ -17,6 +17,8 @@ Three layers, cheapest first:
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
 import os
 import pickle
 import socket
@@ -48,8 +50,11 @@ from repro.distributed.protocol import (
     ProtocolError,
     check_protocol,
 )
-from repro.errors import ReproError
+from repro.errors import EmptyHypothesisSpaceError, ReproError
+from repro.trace.period import Period
 from repro.trace.synthetic import serial_chain_trace
+from repro.trace.trace import Trace
+from tests.property.test_lub_model_props import unexplained_period
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -455,8 +460,9 @@ def small_trace():
     return serial_chain_trace(5, 24)
 
 
-def _distributed_learn(trace, *, daemons=1, chaos=None, workers=2,
-                       steal_timeout=0.4):
+@contextlib.contextmanager
+def _fleet(*, daemons=1, chaos=None, steal_timeout=0.4):
+    """A coordinator factory with *daemons* real workers connecting."""
     port = _free_port()
     address = f"tcp://127.0.0.1:{port}"
     factory = TcpExecutorFactory(
@@ -465,16 +471,24 @@ def _distributed_learn(trace, *, daemons=1, chaos=None, workers=2,
     )
     procs = [_spawn_worker(address, chaos=chaos) for _ in range(daemons)]
     try:
-        result = learn_dependencies(
-            trace, bound=8, workers=workers, executor_factory=factory,
-        )
-        return result, factory.counters
+        yield factory
     finally:
         factory.close()
         for proc in procs:
             proc.terminate()
         for proc in procs:
             proc.wait(timeout=10.0)
+
+
+def _distributed_learn(trace, *, daemons=1, chaos=None, workers=2,
+                       steal_timeout=0.4):
+    with _fleet(
+        daemons=daemons, chaos=chaos, steal_timeout=steal_timeout
+    ) as factory:
+        result = learn_dependencies(
+            trace, bound=8, workers=workers, executor_factory=factory,
+        )
+        return result, factory.counters
 
 
 class TestEndToEnd:
@@ -506,6 +520,29 @@ class TestEndToEnd:
         )
         assert _model_key(remote) == _model_key(local)
         assert getattr(counters, counter) >= 1, counters.as_dict()
+
+    def test_data_error_surfaces_once_as_in_one_worker(self, small_trace):
+        """A period no hypothesis explains raises what ``workers=1``
+        raises, at the same trace period; each shard is sent once."""
+        rows = list(small_trace.periods)
+        rows.insert(17, unexplained_period(small_trace.tasks, "crowded"))
+        trace = Trace(
+            small_trace.tasks,
+            [Period(p.events, index=i) for i, p in enumerate(rows)],
+        )
+        with pytest.raises(EmptyHypothesisSpaceError) as local:
+            learn_dependencies(trace, bound=8, workers=1)
+        with _fleet(steal_timeout=30.0) as factory:
+            with pytest.raises(EmptyHypothesisSpaceError) as remote:
+                learn_dependencies(
+                    trace, bound=8, workers=2, executor_factory=factory,
+                )
+            counters = factory.counters
+        assert remote.value.period_index == local.value.period_index == 17
+        assert str(remote.value) == str(local.value)
+        assert counters.wire_tasks_sent == 2
+        assert counters.tasks_stolen == 0
+        assert multiprocessing.active_children() == []
 
     def test_duplicate_is_counted_exactly_once_every_run(self, small_trace):
         """The teardown drains on the owed copy, not on a timer, so the

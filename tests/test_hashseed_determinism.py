@@ -106,8 +106,7 @@ def run_learn_degraded(workdir: Path, hash_seed: str) -> dict[str, object]:
         "recovery": {
             key: counters[key]
             for key in ("shard_failures", "shard_timeouts", "shard_retries",
-                        "shard_splits", "pool_rebuilds", "pool_requeues",
-                        "degraded_shards")
+                        "pool_rebuilds", "pool_requeues", "degraded_shards")
         },
     }
 

@@ -153,6 +153,8 @@ class TestWeightKernel:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_extension_delta_matches_reference(self, seed):
+        """The string reference's one-pair extension delta is the
+        kernel's weight difference across that extension."""
         stats = _random_stats(seed)
         table = TaskTable(TASKS)
         kernel = WeightKernel(table, stats)
@@ -160,25 +162,27 @@ class TestWeightKernel:
         for pairs in self.PAIR_SETS:
             mask = table.mask_of(pairs)
             for pair in all_pairs:
-                assert kernel.extension_delta(mask, table.pair_bit(pair)) == (
-                    reference.extension_delta(pairs, pair, stats)
-                ), (sorted(pairs), pair)
+                got = kernel.set_weight(mask | table.pair_bit(pair)) - (
+                    kernel.set_weight(mask)
+                )
+                assert got == reference.extension_delta(pairs, pair, stats), (
+                    sorted(pairs), pair
+                )
 
     @pytest.mark.parametrize("seed", range(4))
     def test_union_delta_matches_reference(self, seed):
+        """The string reference's LUB-merge weight is the kernel's
+        weight of the union mask."""
         stats = _random_stats(seed)
         table = TaskTable(TASKS)
         kernel = WeightKernel(table, stats)
         for base in self.PAIR_SETS:
-            base_mask = table.mask_of(base)
             base_weight = reference.set_weight(base, stats)
             for other in self.PAIR_SETS:
                 expected = reference.union_weight(
                     base, base_weight, other, stats
                 )
-                got = base_weight + kernel.union_delta(
-                    base_mask, table.mask_of(other)
-                )
+                got = kernel.set_weight(table.mask_of(base | other))
                 assert got == expected, (sorted(base), sorted(other))
 
     def test_flip_and_flip_delta_match_reference(self):
@@ -314,7 +318,7 @@ class TestLearnerIdentity:
 
     def test_workers1_sharded_path_is_identical(self):
         trace = random_trace("mixed", task_count=8, periods=8, seed=7)
-        outcome = learn_shard(trace.tasks, trace.periods, 8, 0.0)
+        outcome = learn_shard(trace.tasks, trace.periods, 0.0)
         merged = merge_outcomes(trace.tasks, [outcome], 8, 1, 0.0)
         sequential = learn_bounded(trace, 8)
         reference_run = reference.learn_bounded_reference(trace, 8)

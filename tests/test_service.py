@@ -16,6 +16,7 @@ Three layers, mirroring the distributed suite's doctrine:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import os
@@ -109,14 +110,23 @@ class TestPolicy:
         [
             {"queue_depth": 0},
             {"max_live": 0},
-            {"retries": -1},
-            {"backoff": -0.1},
+            # The shard runtime's modes are not session modes.
+            {"degrade": "sequential"},
+            {"degrade": "fail"},
             {"degrade": "explode"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SessionPolicy(**kwargs)
+
+    def test_no_feed_retry_knobs(self):
+        assert [f.name for f in dataclasses.fields(SessionPolicy)] == [
+            "queue_depth", "max_live", "degrade", "spool_dir",
+        ]
+        for retired in ("retries", "backoff"):
+            with pytest.raises(TypeError):
+                SessionPolicy(**{retired: 1})
 
 
 class TestSpoolNaming:
@@ -318,25 +328,24 @@ class TestDegradation:
         profile = client.profile()
         assert profile["service"]["feed_errors"] >= 1
 
-    def test_retries_are_charged(self, daemon):
-        del daemon
-        thread = ServiceThread(SessionPolicy(retries=2))
-        try:
-            c = ServiceClient(thread.address)
-            c.connect()
-            trace = canonical_trace()
-            c.open_session("s", trace_tasks(trace), bound=BOUND)
-            with pytest.raises(ServiceError):
-                c.append_periods([bad_period()])
-            profile = c.profile()
-            assert profile["service"]["feed_errors"] == 3  # 1 + 2 retries
-            assert profile["service"]["feed_retries"] == 2
-            c.close()
-        finally:
-            thread.stop()
+    def test_failing_period_is_fed_once(self, client):
+        """A rolled-back feed of the same period would fail again, so
+        the daemon charges one error and leaves the model as it was."""
+        trace = canonical_trace()
+        client.open_session("s", trace_tasks(trace), bound=BOUND)
+        client.append_periods(trace.periods[:4])
+        before = client.query_model()
+        with pytest.raises(ServiceError, match="hypothesis space"):
+            client.append_periods([bad_period()])
+        assert client.query_model() == before
+        profile = client.profile()
+        assert profile["service"]["feed_errors"] == 1
+        assert profile["hot_loop"]["session_feed_errors"] == 1
+        assert profile["hot_loop"]["session_feed_retries"] == 0
+        assert profile["learn"]["periods"] == 4
 
     def test_degrade_close_tears_down_one_session_only(self):
-        thread = ServiceThread(SessionPolicy(degrade="close", retries=0))
+        thread = ServiceThread(SessionPolicy(degrade="close"))
         try:
             trace = canonical_trace()
             healthy = ServiceClient(thread.address)
@@ -778,3 +787,13 @@ class TestServeCLI:
             profile = json.load(stream)
         assert profile["hot_loop"]["sessions_closed"] == 1
         assert profile["hot_loop"]["periods"] == len(trace.periods)
+
+    def test_serve_has_no_retries_flag(self, capsys):
+        from repro.cli import _build_parser
+
+        with pytest.raises(SystemExit) as excinfo:
+            _build_parser().parse_args(
+                ["serve", "tcp://127.0.0.1:0", "--retries", "1"]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --retries" in capsys.readouterr().err

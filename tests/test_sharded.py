@@ -277,7 +277,7 @@ class TestMergePrimitives:
     def test_learn_shard_runs_in_process(self):
         """The worker function itself (what the pool executes)."""
         trace = paper_figure2_trace()
-        outcome = learn_shard(trace.tasks, trace.periods, 4, 0.0)
+        outcome = learn_shard(trace.tasks, trace.periods, 0.0)
         assert outcome.periods == len(trace)
         assert outcome.pairs_mask  # learned something
         merged = merge_outcomes(trace.tasks, [outcome], 4, 1, 0.0)

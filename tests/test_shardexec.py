@@ -8,46 +8,52 @@ and asserts three things:
 1. the learn *completes* despite the fault;
 2. the result is sound — its LUB is ``⊒`` the sequential LUB in the
    value lattice and still matches the whole trace (Theorem 2 soundness
-   is preserved under retry, split and degradation); when the shard
-   partition is unchanged (no splits), the result is *identical* to the
-   fault-free sharded run;
+   is preserved under retry, rebuild and degradation) — and *identical*
+   to the fault-free sharded run;
 3. the failure counters on ``result.hot_loop`` match the injected fault
    plan exactly.
 
 The faults run in real subprocesses of a real ``ProcessPoolExecutor``;
-nothing is mocked. Tests that need parallel workers are skipped on
-single-CPU machines.
+nothing is mocked. A period no hypothesis explains is not a fault: it
+raises the sequential learn's error at any worker count, after one run
+of each shard (``TestDataErrors``). Tests that need parallel workers are
+skipped on single-CPU machines.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import multiprocessing
 import os
 import threading
 from concurrent.futures import BrokenExecutor, Executor, Future
 
 import pytest
 
+import repro.core.sharded as sharded
 from repro.core.heuristic import learn_bounded
 from repro.core.learner import learn_dependencies
 from repro.core.matching import matches_trace
 from repro.core.shardexec import (
+    BACKOFF_CAP_SECONDS,
+    MAX_POOL_REBUILDS,
     ChaosSpec,
     ShardJob,
     ShardPolicy,
     ShardRuntime,
+    backoff_seconds,
     parse_chaos,
 )
-from repro.errors import ShardExecutionError
+from repro.errors import EmptyHypothesisSpaceError, ShardExecutionError
 from repro.sim.simulator import Simulator, SimulatorConfig
 from repro.systems.random_gen import RandomDesignConfig, random_design
+from repro.trace.period import Period
+from repro.trace.trace import Trace
+from tests.property.test_lub_model_props import unexplained_period
 
 needs_two_cpus = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2, reason="chaos tests need >= 2 CPUs"
 )
-
-#: Fast-recovery policy: tests should not wait out production backoffs.
-FAST = dict(backoff=0.01, backoff_cap=0.05)
-
 
 @pytest.fixture
 def chaos(monkeypatch):
@@ -71,6 +77,24 @@ def make_trace(seed=3, task_count=8, periods=12):
         SimulatorConfig(period_length=60.0 + 8.0 * task_count),
         seed=seed,
     ).run(periods).trace
+
+
+def infeasible_trace(kind, positions, periods=12):
+    """``make_trace`` with an unexplained period inserted at *positions*."""
+    trace = make_trace(periods=periods)
+    rows = list(trace.periods)
+    for position in positions:
+        rows.insert(position, unexplained_period(trace.tasks, kind))
+    return Trace(
+        trace.tasks, [Period(p.events, index=i) for i, p in enumerate(rows)]
+    )
+
+
+def learn_error(trace, **kwargs):
+    with pytest.raises(EmptyHypothesisSpaceError) as excinfo:
+        learn_dependencies(trace, bound=8, **kwargs)
+    error = excinfo.value
+    return type(error), error.period_index, str(error)
 
 
 def assert_sound(trace, result):
@@ -122,24 +146,33 @@ class TestShardPolicyValidation:
         [
             dict(timeout=0.0),
             dict(timeout=-1.0),
+            dict(timeout=float("nan")),
             dict(retries=-1),
-            dict(backoff=-0.1),
-            dict(max_splits=-1),
-            dict(max_pool_rebuilds=-1),
             dict(degrade="panic"),
+            # The session service's modes are not shard modes.
+            dict(degrade="reject"),
+            dict(degrade="close"),
         ],
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ShardPolicy(**kwargs)
 
+    def test_only_the_cli_knobs_are_fields(self):
+        assert [f.name for f in dataclasses.fields(ShardPolicy)] == [
+            "timeout", "retries", "degrade",
+        ]
+        for retired in ("backoff", "backoff_cap", "max_splits",
+                        "max_pool_rebuilds"):
+            with pytest.raises(TypeError):
+                ShardPolicy(**{retired: 1})
+
     def test_backoff_is_deterministic_and_bounded(self):
-        policy = ShardPolicy(backoff=0.05, backoff_cap=1.0)
         for index in range(5):
             for attempt in range(8):
-                first = policy.backoff_seconds(index, attempt)
-                assert first == policy.backoff_seconds(index, attempt)
-                assert 0.0 <= first <= policy.backoff_cap * 1.25
+                first = backoff_seconds(index, attempt)
+                assert first == backoff_seconds(index, attempt)
+                assert 0.0 <= first <= BACKOFF_CAP_SECONDS * 1.25
 
 
 class TestShardJob:
@@ -164,14 +197,13 @@ class TestChaosRecovery:
         chaos("fail@1:2")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(**FAST),
+            shard_policy=ShardPolicy(),
         )
         assert_sound(trace, result)
         assert result.lub() == clean.lub()
         hot = result.hot_loop
         assert hot.shard_failures == 2
         assert hot.shard_retries == 2
-        assert hot.shard_splits == 0
         assert hot.pool_rebuilds == 0
         assert hot.degraded_shards == 0
 
@@ -181,15 +213,12 @@ class TestChaosRecovery:
         chaos("crash@1")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(**FAST),
+            shard_policy=ShardPolicy(),
         )
         assert_sound(trace, result)
-        # No split happened, so the partition — and hence the merged
-        # model — is identical to the fault-free run.
         assert result.lub() == clean.lub()
         hot = result.hot_loop
         assert hot.pool_rebuilds == 1
-        assert hot.shard_splits == 0
         assert hot.degraded_shards == 0
         # The guilty shard cannot be told apart from bystanders, so the
         # crash surfaces as collateral requeues, not per-shard retries.
@@ -201,7 +230,7 @@ class TestChaosRecovery:
         chaos("hang@0")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(timeout=1.5, **FAST),
+            shard_policy=ShardPolicy(timeout=1.5),
         )
         assert_sound(trace, result)
         assert result.lub() == clean.lub()
@@ -209,7 +238,6 @@ class TestChaosRecovery:
         assert hot.shard_timeouts == 1
         assert hot.shard_retries == 1
         assert hot.pool_rebuilds == 1  # a hung worker forces a teardown
-        assert hot.shard_splits == 0
         assert hot.degraded_shards == 0
 
     def test_slow_but_successful(self, chaos):
@@ -218,7 +246,7 @@ class TestChaosRecovery:
         chaos("slow@2:0.3")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(timeout=30.0, **FAST),
+            shard_policy=ShardPolicy(timeout=30.0),
         )
         assert_sound(trace, result)
         assert result.lub() == clean.lub()
@@ -235,52 +263,49 @@ class TestChaosRecovery:
         chaos("crash@0:99,crash@1:99,crash@2:99")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(max_pool_rebuilds=1, **FAST),
+            shard_policy=ShardPolicy(),
         )
         assert_sound(trace, result)
         # Degradation keeps the original partition: identical model.
         assert result.lub() == clean.lub()
         hot = result.hot_loop
-        assert hot.pool_rebuilds == 1
+        assert hot.pool_rebuilds == MAX_POOL_REBUILDS
         assert hot.degraded_shards == 3
-        assert hot.shard_splits == 0
 
-    def test_persistent_failure_splits_shard(self, chaos):
+    def test_persistent_worker_fault_degrades_in_process(self, chaos):
         trace = make_trace()
-        # Shard 1 fails on every attempt; with one retry the runtime
-        # must bisect it, and the two fresh shards (chaos-free indices)
-        # succeed.
+        clean = learn_dependencies(trace, bound=8, workers=3)
+        # Shard 1's worker fails on every attempt; after its one retry
+        # the runtime learns it in-process (chaos never fires there).
         chaos("fail@1:99")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(retries=1, **FAST),
+            shard_policy=ShardPolicy(retries=1),
         )
         assert_sound(trace, result)
+        assert result.lub() == clean.lub()
         hot = result.hot_loop
-        assert hot.shard_splits == 1
         assert hot.shard_failures == 2  # attempts 0 and 1 of shard 1
         assert hot.shard_retries == 1
-        assert hot.degraded_shards == 0
+        assert hot.degraded_shards == 1
 
     def test_single_period_shard_degrades_in_process(self, chaos):
         trace = make_trace()
-        # Every shard is one period (workers > periods), so the failing
-        # shard cannot be split: it must fall back to in-process.
+        # Every shard is one period (workers > periods); the failing
+        # one-period shard falls back to in-process like any other.
         chaos("fail@2:99")
         result = learn_dependencies(
             trace, bound=8, workers=len(trace),
-            shard_policy=ShardPolicy(retries=1, max_splits=0, **FAST),
+            shard_policy=ShardPolicy(retries=1),
         )
         assert_sound(trace, result)
         hot = result.hot_loop
-        assert hot.shard_splits == 0
         assert hot.degraded_shards == 1
         assert hot.shard_failures == 2
 
     def test_combined_crash_and_timeout_is_bit_identical(self, chaos, tmp_path):
-        """The ISSUE acceptance scenario: one crash + one hang at
-        workers=4 completes, and the model is bit-identical to the
-        fault-free learn (no split changed the partition)."""
+        """One crash + one hang at workers=4 completes, and the model
+        is bit-identical to the fault-free learn."""
         from repro.analysis.report import dumps_model
 
         trace = make_trace()
@@ -288,14 +313,13 @@ class TestChaosRecovery:
         chaos("crash@2,hang@0:2")
         result = learn_dependencies(
             trace, bound=8, workers=4,
-            shard_policy=ShardPolicy(timeout=1.5, **FAST),
+            shard_policy=ShardPolicy(timeout=1.5),
         )
         assert_sound(trace, result)
         assert dumps_model(result.lub()) == dumps_model(clean.lub())
         hot = result.hot_loop
         assert hot.shard_timeouts == 1
         assert hot.shard_retries == 1
-        assert hot.shard_splits == 0
         assert hot.pool_rebuilds == 2  # one crash + one hang teardown
         assert hot.degraded_shards == 0
 
@@ -306,7 +330,7 @@ class TestChaosRecovery:
         chaos("fail@0:1,fail@2:2")
         result = learn_dependencies(
             trace, bound=8, workers=3,
-            shard_policy=ShardPolicy(**FAST),
+            shard_policy=ShardPolicy(),
         )
         reference = learn_bounded(trace, 8).stats
         stats = result.stats
@@ -320,6 +344,66 @@ class TestChaosRecovery:
                     )
 
 
+#: Where the spy shard functions log their calls, one line per call.
+SPY_LOG_ENV = "REPRO_TEST_SHARD_SPY"
+_LEARN_SHARD_ARGS = sharded._learn_shard_args
+_LEARN_SHARD_FALLBACK = sharded._learn_shard_fallback
+
+
+def _spy_log(line):
+    with open(os.environ[SPY_LOG_ENV], "a", encoding="utf-8") as log:
+        log.write(line + "\n")
+
+
+def _spy_worker(args):
+    _spy_log(f"worker {args[3]}")
+    return _LEARN_SHARD_ARGS(args)
+
+
+def _spy_fallback(args):
+    _spy_log("fallback")
+    return _LEARN_SHARD_FALLBACK(args)
+
+
+class TestDataErrors:
+    """A period no hypothesis explains is the learn's answer: every
+    worker count raises what ``workers=1`` raises, without a retry, a
+    fallback run or a leftover process."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch, tmp_path):
+        path = tmp_path / "calls.log"
+        path.write_text("")
+        monkeypatch.setenv(SPY_LOG_ENV, str(path))
+        monkeypatch.setattr(sharded, "_learn_shard_args", _spy_worker)
+        monkeypatch.setattr(sharded, "_learn_shard_fallback", _spy_fallback)
+        return lambda: path.read_text().splitlines()
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("kind", ["empty", "crowded"])
+    @pytest.mark.parametrize("positions", [(10,), (2, 10)])
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_same_error_as_one_worker(self, spy, kind, positions, workers):
+        trace = infeasible_trace(kind, positions)
+        expected = learn_error(trace, workers=1)
+        assert expected[1] == positions[0]
+        assert learn_error(trace, workers=workers) == expected
+        calls = spy()
+        assert "fallback" not in calls
+        assert len(calls) == len(set(calls)) <= workers, calls
+        assert multiprocessing.active_children() == []
+
+    @needs_two_cpus
+    def test_data_error_beats_a_worker_fault_elsewhere(self, chaos, spy):
+        """The failing shard is not retried while another shard's
+        worker fault is; the error is still the sequential one."""
+        trace = infeasible_trace("empty", (10,))
+        expected = learn_error(trace, workers=1)
+        chaos("fail@0:1")
+        assert learn_error(trace, workers=2) == expected
+        assert sorted(spy()) == ["worker 0", "worker 0", "worker 1"]
+
+
 class TestFailurePropagation:
     """degrade='fail' errors must name the shard, range and attempts."""
 
@@ -329,9 +413,7 @@ class TestFailurePropagation:
         with pytest.raises(ShardExecutionError) as excinfo:
             learn_dependencies(
                 trace, bound=8, workers=3,
-                shard_policy=ShardPolicy(
-                    retries=1, max_splits=0, degrade="fail", **FAST
-                ),
+                shard_policy=ShardPolicy(retries=1, degrade="fail"),
             )
         message = str(excinfo.value)
         assert "shard 1" in message
@@ -347,9 +429,7 @@ class TestFailurePropagation:
         with pytest.raises(ShardExecutionError) as excinfo:
             learn_dependencies(
                 trace, bound=8, workers=3,
-                shard_policy=ShardPolicy(
-                    max_pool_rebuilds=1, degrade="fail", **FAST
-                ),
+                shard_policy=ShardPolicy(degrade="fail"),
             )
         message = str(excinfo.value)
         assert "process pool broke" in message
@@ -382,14 +462,11 @@ class TestPolicyThreading:
         assert profile["learn"]["shard_policy"] == {
             "timeout": 30.0,
             "retries": 1,
-            "max_splits": 4,
-            "max_pool_rebuilds": 2,
             "degrade": "sequential",
         }
         for key in (
             "shard_failures", "shard_timeouts", "shard_retries",
-            "shard_splits", "pool_rebuilds", "pool_requeues",
-            "degraded_shards",
+            "pool_rebuilds", "pool_requeues", "degraded_shards",
         ):
             assert profile["hot_loop"][key] == 0
 
@@ -463,7 +540,6 @@ class TestPolicyThreading:
         hot = json.loads(profile_path.read_text())["hot_loop"]
         assert hot["shard_timeouts"] == 1
         assert hot["shard_retries"] == 1
-        assert hot["shard_splits"] == 0
         assert hot["pool_rebuilds"] == 2
         assert hot["degraded_shards"] == 0
 
@@ -473,7 +549,7 @@ class TestPolicyThreading:
         trace = make_trace(periods=4)
         result = learn_dependencies(
             trace, bound=8, workers=1,
-            shard_policy=ShardPolicy(retries=0, max_splits=0),
+            shard_policy=ShardPolicy(retries=0, degrade="fail"),
         )
         assert result.workers == 1
         assert result.hot_loop.pool_rebuilds == 0
@@ -501,7 +577,7 @@ class _ScriptedExecutor(Executor):
         future = Future()
         if self.generation > 0:
             future.set_result(fn(shard_args))
-        elif shard_args[4] == 0:
+        elif shard_args[3] == 0:
             error = BrokenExecutor("a worker died")
             if self.landing == "before":
                 threading.Timer(0.05, future.set_exception, (error,)).start()
@@ -537,7 +613,7 @@ class _ScriptedFactory:
 
 
 def _echo_shard(args):
-    return (args[4], args[5])  # (shard index, attempt)
+    return (args[3], args[4])  # (shard index, attempt)
 
 
 class TestRequeueAccounting:
@@ -546,8 +622,8 @@ class TestRequeueAccounting:
 
     def run_scripted(self, landing):
         runtime = ShardRuntime(
-            ("a", "b"), 4, 0.0, workers=2,
-            policy=ShardPolicy(**FAST),
+            ("a", "b"), 0.0, workers=2,
+            policy=ShardPolicy(),
             worker=_echo_shard, fallback=_echo_shard,
             executor_factory=_ScriptedFactory(landing),
         )
